@@ -296,6 +296,16 @@ print(f"bench smoke OK: mix 16K {got:.1f}us (committed {ref:.1f}us), "
 EOF
 fi
 
+echo "== repository benchmark output checks =="
+# A short run of every BENCHMARK.json workload. run.py exits nonzero when
+# an output check fails: a short or failed reply, device time running
+# backwards, or a mix-stream block whose digest differs from the in-run
+# oracle or the stored one. The timings of so short a run are not gated.
+if command -v python3 >/dev/null 2>&1; then
+    python3 perfbench/run.py --workload all --seconds 2 --trace 0 >/dev/null
+    echo "benchmark output checks OK"
+fi
+
 echo "== fan-out smoke + committed-ablation acceptance =="
 # A quick bench_fanout (N=8, baseline + optimized) validates the live
 # report shape: both configs present, latency percentiles populated, and

@@ -34,6 +34,9 @@ class AC {
   // AFRecordSamples: records buf.size() bytes beginning at start_time.
   // block=true waits until all data exists; block=false returns whatever
   // is available immediately (the returned actual_bytes may be short).
+  // Long requests are chunked like plays, but the chunks are pipelined: up
+  // to 16 leave in one write and their replies are collected in order, so
+  // a multi-chunk record costs one round trip, not one per chunk.
   Result<RecordResult> RecordSamples(ATime start_time, std::span<uint8_t> buf, bool block);
 
   // Chunk size used for play/record splitting; configurable for the

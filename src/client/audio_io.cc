@@ -1,5 +1,7 @@
 // AFPlaySamples / AFRecordSamples: the two requests that move audio data,
 // with the client library's 8 KB chunking (CRL 93/8 Sections 5.7 and 10.1).
+// Neither pays a round trip per chunk: play suppresses the intermediate
+// replies, record pipelines its chunks.
 #include <algorithm>
 #include <cstring>
 
@@ -13,6 +15,12 @@ namespace {
 size_t FrameBytesOf(const ACAttributes& attrs) {
   return SamplesToBytes(attrs.encoding, 1, attrs.channels);
 }
+
+// Record chunks in flight at once. It equals the server's per-sweep request
+// cap and fills its egress spare-segment pool, so a window's replies leave
+// in one writev without allocating, and it bounds what the server buffers
+// for a client recording megabytes (128 KiB at the default chunk size).
+constexpr size_t kRecordWindow = 16;
 
 }  // namespace
 
@@ -68,7 +76,9 @@ Result<ATime> AC::PlaySamples(ATime start_time, std::span<const uint8_t> buf) {
     // play requests; only the final chunk asks for the time.
     req.flags = base_flags | (last ? 0 : kPlaySuppressReply);
     req.data = buf.subspan(offset, n);
-    last_seq = conn_->QueueRequest(Opcode::kPlaySamples, req);
+    last_seq = conn_->QueueRequest(
+        Opcode::kPlaySamples, req,
+        last ? AFAudioConn::ReplyMode::kAwaited : AFAudioConn::ReplyMode::kNone);
     offset += n;
     t += static_cast<ATime>(BytesToSamples(attrs_.encoding, n, attrs_.channels));
   } while (offset < buf.size());
@@ -94,37 +104,85 @@ Result<RecordResult> AC::RecordSamples(ATime start_time, std::span<uint8_t> buf,
     base_flags |= kRecordBigEndianData;
   }
 
+  // A window of chunks is queued, the first AwaitReply sends it in one
+  // write, and the replies are taken in order. offset and t always describe
+  // the contiguous prefix received so far, which is where chunk i of the
+  // window starts while every earlier chunk came back full.
   RecordResult result;
   size_t offset = 0;
   ATime t = start_time;
-  do {
-    const size_t n = std::min(chunk, buf.size() - offset);
-    RecordSamplesReq req;
-    req.ac = id_;
-    req.start_time = t;
-    req.nbytes = static_cast<uint32_t>(n);
-    req.flags = base_flags;
-    const uint16_t seq = conn_->QueueRequest(Opcode::kRecordSamples, req);
-    auto reply = conn_->AwaitReply(seq);
-    if (!reply.ok()) {
-      return reply.status();
+  Status failed;
+  bool ran_short = false;
+  bool requeued = false;
+  for (;;) {
+    const uint64_t gen = conn_->reconnects();
+    uint16_t seqs[kRecordWindow];
+    size_t queued = 0;
+    size_t end = offset;
+    ATime end_time = t;
+    do {
+      const size_t n = std::min(chunk, buf.size() - end);
+      RecordSamplesReq req;
+      req.ac = id_;
+      req.start_time = end_time;
+      req.nbytes = static_cast<uint32_t>(n);
+      req.flags = base_flags;
+      seqs[queued++] =
+          conn_->QueueRequest(Opcode::kRecordSamples, req, AFAudioConn::ReplyMode::kAwaited);
+      end += n;
+      end_time += static_cast<ATime>(BytesToSamples(attrs_.encoding, n, attrs_.channels));
+    } while (end < buf.size() && queued < kRecordWindow);
+
+    bool healed = false;
+    for (size_t i = 0; i < queued; ++i) {
+      // Every reply is taken, even after a failure or a short chunk, so no
+      // error is left to reach the asynchronous error handler later.
+      auto reply = conn_->AwaitReply(seqs[i]);
+      if (conn_->reconnects() != gen) {
+        // The window's sequence numbers died with the old connection: on
+        // the new one they would match replayed requests or never be
+        // answered. Any reply got here came from AwaitReply's reissue of
+        // the newest request, under the AC's old id; drop it too.
+        healed = true;
+        break;
+      }
+      if (!failed.ok() || ran_short) {
+        continue;
+      }
+      if (!reply.ok()) {
+        failed = reply.status();
+        continue;
+      }
+      RecordSamplesReply decoded;
+      if (!RecordSamplesReply::Decode(reply.value(), conn_->order(), &decoded)) {
+        failed = Status(AfError::kConnectionLost, "bad RecordSamples reply");
+        continue;
+      }
+      const size_t n = std::min(chunk, buf.size() - offset);
+      const size_t got = std::min<size_t>(decoded.data.size(), n);
+      if (got > 0) {  // an empty reply carries a null span; memcpy forbids it
+        std::memcpy(buf.data() + offset, decoded.data.data(), got);
+      }
+      result.time = decoded.time;
+      conn_->NoteDeviceTime(device_, decoded.time);
+      offset += got;
+      t += static_cast<ATime>(BytesToSamples(attrs_.encoding, got, attrs_.channels));
+      ran_short = got < n;  // non-blocking record ran out of available data
     }
-    RecordSamplesReply decoded;
-    if (!RecordSamplesReply::Decode(reply.value(), conn_->order(), &decoded)) {
-      return Status(AfError::kConnectionLost, "bad RecordSamples reply");
+    if (!failed.ok()) {
+      return failed;
     }
-    const size_t got = std::min<size_t>(decoded.data.size(), n);
-    if (got > 0) {  // an empty reply carries a null span; memcpy forbids it
-      std::memcpy(buf.data() + offset, decoded.data.data(), got);
+    if (ran_short || (!healed && offset >= buf.size())) {
+      break;
     }
-    result.time = decoded.time;
-    conn_->NoteDeviceTime(device_, decoded.time);
-    offset += got;
-    t += static_cast<ATime>(BytesToSamples(attrs_.encoding, got, attrs_.channels));
-    if (got < n) {
-      break;  // non-blocking record ran out of available data
+    if (healed) {
+      // Re-queue the unanswered chunks, once, on the healed connection.
+      if (requeued) {
+        return Status(AfError::kConnectionLost);
+      }
+      requeued = true;
     }
-  } while (offset < buf.size());
+  }
 
   result.actual_bytes = offset;
   return result;

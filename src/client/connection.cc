@@ -228,11 +228,13 @@ void AFAudioConn::Flush() {
   }
 }
 
-void AFAudioConn::MaybeAutoFlush() {
+void AFAudioConn::MaybeAutoFlush(ReplyMode reply) {
   if (in_reconnect_) {
     return;  // the replay batches its requests; ResyncTime/Sync flush them
   }
-  if (synchronous_ && !in_sync_) {
+  // An awaited reply already synchronizes; a Sync here would read past it
+  // and drop it as unexpected, leaving the caller's AwaitReply to hang.
+  if (synchronous_ && !in_sync_ && reply == ReplyMode::kNone) {
     Sync();
   }
   if (after_fn_ && !in_sync_) {
@@ -343,7 +345,8 @@ void AFAudioConn::RoutePacket(std::vector<uint8_t> packet, uint16_t awaited_seq,
       return;
     }
   }
-  // An unexpected reply: drop it (all replies are awaited synchronously).
+  // An unexpected reply: drop it (every round trip awaits its replies in
+  // sequence order, so nothing is left waiting for this one).
 }
 
 Result<std::vector<uint8_t>> AFAudioConn::AwaitReply(uint16_t seq) {
@@ -409,17 +412,14 @@ void AFAudioConn::Sync() {
     return;
   }
   in_sync_ = true;
-  const uint16_t seq = QueueRequest(Opcode::kSyncConnection, EmptyBody{});
-  auto reply = AwaitReply(seq);
+  (void)RoundTrip(Opcode::kSyncConnection, EmptyBody{});
   in_sync_ = false;
-  (void)reply;
 }
 
 void AFAudioConn::NoOp() { QueueRequest(Opcode::kNoOperation, EmptyBody{}); }
 
 Result<ServerStatsWire> AFAudioConn::GetServerStats() {
-  const uint16_t seq = QueueRequest(Opcode::kGetServerStats, EmptyBody{});
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kGetServerStats, EmptyBody{});
   if (!reply.ok()) {
     return reply.status();
   }
@@ -433,8 +433,7 @@ Result<ServerStatsWire> AFAudioConn::GetServerStats() {
 Result<TraceWire> AFAudioConn::GetTrace(uint32_t flags) {
   GetTraceReq req;
   req.flags = flags;
-  const uint16_t seq = QueueRequest(Opcode::kGetTrace, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kGetTrace, req);
   if (!reply.ok()) {
     return reply.status();
   }
@@ -448,8 +447,7 @@ Result<TraceWire> AFAudioConn::GetTrace(uint32_t flags) {
 Result<ATime> AFAudioConn::GetTime(DeviceId device) {
   GetTimeReq req;
   req.device = device;
-  const uint16_t seq = QueueRequest(Opcode::kGetTime, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kGetTime, req);
   if (!reply.ok()) {
     return reply.status();
   }
@@ -465,8 +463,7 @@ Result<ResyncTimeReply> AFAudioConn::ResyncTime(DeviceId device, ATime client_wa
   ResyncTimeReq req;
   req.device = device;
   req.client_watermark = client_watermark;
-  const uint16_t seq = QueueRequest(Opcode::kResyncTime, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kResyncTime, req);
   if (!reply.ok()) {
     return reply.status();
   }

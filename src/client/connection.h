@@ -76,7 +76,8 @@ class AFAudioConn {
 
   void Flush();  // AFFlush: write the request queue to the server
   void Sync();   // AFSync: flush and round-trip a SyncConnection
-  // AFSynchronize: when enabled, every request is followed by Sync().
+  // AFSynchronize: when enabled, every request is followed by Sync(),
+  // except one whose reply the caller awaits: that reply synchronizes.
   void SetSynchronize(bool enabled) { synchronous_ = enabled; }
   using AfterFunction = std::function<void(AFAudioConn&)>;
   void SetAfterFunction(AfterFunction fn) { after_fn_ = std::move(fn); }
@@ -211,9 +212,11 @@ class AFAudioConn {
 
   // --- plumbing shared with the AC implementation --------------------------------
 
+  // Whether the caller will AwaitReply on the request's sequence number.
+  enum class ReplyMode { kNone, kAwaited };
   // Appends a request and returns its sequence number.
   template <typename Req>
-  uint16_t QueueRequest(Opcode op, const Req& req, uint8_t ext = 0) {
+  uint16_t QueueRequest(Opcode op, const Req& req, ReplyMode reply = ReplyMode::kNone) {
     uint64_t corr = 0;
     if (trace_.enabled()) {
       // A replayed request (session replay / resync after a reconnect)
@@ -221,10 +224,7 @@ class AFAudioConn {
       // to the original attempt; everything else mints a fresh one.
       corr = in_reconnect_ ? last_request_corr_ : MintCorr();
     }
-    if (corr != 0) {
-      ext |= kRequestExtCorrId;
-    }
-    const size_t header = BeginRequest(out_, op, ext);
+    const size_t header = BeginRequest(out_, op, corr != 0 ? kRequestExtCorrId : 0);
     req.Encode(out_);
     if (corr != 0) {
       out_.AlignPad();
@@ -244,7 +244,7 @@ class AFAudioConn {
       last_request_seq_ = seq_;
       last_request_corr_ = corr;
     }
-    MaybeAutoFlush();
+    MaybeAutoFlush(reply);
     return seq_;
   }
   // Flushes and blocks until the reply for seq arrives; events are queued,
@@ -263,7 +263,12 @@ class AFAudioConn {
  private:
   AFAudioConn(FaultStream stream, std::string name);
   Status DoSetup();
-  void MaybeAutoFlush();
+  void MaybeAutoFlush(ReplyMode reply);
+  // Queues a request and awaits its reply.
+  template <typename Req>
+  Result<std::vector<uint8_t>> RoundTrip(Opcode op, const Req& req) {
+    return AwaitReply(QueueRequest(op, req, ReplyMode::kAwaited));
+  }
   // Reads until at least one complete packet is buffered (blocking).
   Status FillFromSocket(bool block);
   // Extracts one complete packet from the input buffer, if present.
@@ -354,7 +359,7 @@ class AFAudioConn {
   uint64_t last_request_corr_ = 0;  // ID the reconnect replay reuses
   // Fixed-size seq -> {corr, t0} table for the kClientReply span; sized so
   // the window of requests between queue and reply never alias in practice
-  // (replies are awaited synchronously).
+  // (at most one record window of requests awaits its replies at a time).
   static constexpr size_t kPendingSlots = 64;
   struct PendingCorr {
     uint16_t seq = 0;

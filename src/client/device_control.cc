@@ -34,8 +34,7 @@ void AFAudioConn::SetOutputGain(DeviceId device, int gain_db) {
 Result<QueryGainReply> AFAudioConn::QueryInputGain(DeviceId device) {
   QueryGainReq req;
   req.device = device;
-  const uint16_t seq = QueueRequest(Opcode::kQueryInputGain, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kQueryInputGain, req);
   if (!reply.ok()) {
     return reply.status();
   }
@@ -49,8 +48,7 @@ Result<QueryGainReply> AFAudioConn::QueryInputGain(DeviceId device) {
 Result<QueryGainReply> AFAudioConn::QueryOutputGain(DeviceId device) {
   QueryGainReq req;
   req.device = device;
-  const uint16_t seq = QueueRequest(Opcode::kQueryOutputGain, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kQueryOutputGain, req);
   if (!reply.ok()) {
     return reply.status();
   }
@@ -124,8 +122,7 @@ void AFAudioConn::RemoveHost(uint16_t family, std::span<const uint8_t> address) 
 }
 
 Result<ListHostsReply> AFAudioConn::ListHosts() {
-  const uint16_t seq = QueueRequest(Opcode::kListHosts, EmptyBody{});
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kListHosts, EmptyBody{});
   if (!reply.ok()) {
     return reply.status();
   }

@@ -8,8 +8,7 @@ Result<Atom> AFAudioConn::InternAtom(std::string_view atom_name, bool only_if_ex
   InternAtomReq req;
   req.only_if_exists = only_if_exists ? 1 : 0;
   req.name = std::string(atom_name);
-  const uint16_t seq = QueueRequest(Opcode::kInternAtom, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kInternAtom, req);
   if (!reply.ok()) {
     return reply.status();
   }
@@ -23,8 +22,7 @@ Result<Atom> AFAudioConn::InternAtom(std::string_view atom_name, bool only_if_ex
 Result<std::string> AFAudioConn::GetAtomName(Atom atom) {
   GetAtomNameReq req;
   req.atom = atom;
-  const uint16_t seq = QueueRequest(Opcode::kGetAtomName, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kGetAtomName, req);
   if (!reply.ok()) {
     return reply.status();
   }
@@ -64,8 +62,7 @@ Result<GetPropertyReply> AFAudioConn::GetProperty(DeviceId device, Atom property
   req.long_offset = long_offset;
   req.long_length = long_length;
   req.do_delete = do_delete ? 1 : 0;
-  const uint16_t seq = QueueRequest(Opcode::kGetProperty, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kGetProperty, req);
   if (!reply.ok()) {
     return reply.status();
   }
@@ -79,8 +76,7 @@ Result<GetPropertyReply> AFAudioConn::GetProperty(DeviceId device, Atom property
 Result<std::vector<Atom>> AFAudioConn::ListProperties(DeviceId device) {
   ListPropertiesReq req;
   req.device = device;
-  const uint16_t seq = QueueRequest(Opcode::kListProperties, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kListProperties, req);
   if (!reply.ok()) {
     return reply.status();
   }

@@ -22,8 +22,7 @@ void AFAudioConn::FlashHook(DeviceId device, unsigned duration_ms) {
 Result<QueryPhoneReply> AFAudioConn::QueryPhone(DeviceId device) {
   QueryPhoneReq req;
   req.device = device;
-  const uint16_t seq = QueueRequest(Opcode::kQueryPhone, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip(Opcode::kQueryPhone, req);
   if (!reply.ok()) {
     return reply.status();
   }

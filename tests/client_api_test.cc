@@ -2,6 +2,7 @@
 // (Tables 3/4), synchronous mode, after-functions, and failure behavior
 // when clients vanish mid-operation.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <thread>
@@ -122,6 +123,41 @@ TEST_F(ClientApiTest, SynchronousModeSurfacesErrorsImmediately) {
   // With AFSynchronize on, the error has already been fetched.
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_EQ(errors[0].code, AfError::kBadValue);
+  conn_->SetSynchronize(false);
+}
+
+TEST_F(ClientApiTest, SynchronousModeRoundTripsComplete) {
+  // Regression: the per-request Sync ran before the caller awaited its
+  // reply, read past that reply and dropped it, so every round trip hung.
+  // A hang cannot fail an assertion; the alarm ends the process instead.
+  std::vector<ErrorPacket> errors;
+  conn_->SetErrorHandler(
+      [&errors](AFAudioConn&, const ErrorPacket& e) { errors.push_back(e); });
+  conn_->SetSynchronize(true);
+  alarm(10);
+  auto t = conn_->GetTime(0);
+  ASSERT_TRUE(t.ok());
+  auto atom = conn_->InternAtom("SYNCHRONOUS");
+  ASSERT_TRUE(atom.ok());
+  auto ac = conn_->CreateAC(0, 0, ACAttributes{});
+  ASSERT_TRUE(ac.ok());
+  // Three chunks each way: the play's first two are one-way requests, its
+  // last awaits the time; the record pipelines all three.
+  const std::vector<uint8_t> tone(kDefaultChunkBytes * 5 / 2, 0x55);
+  auto played = ac.value()->PlaySamples(t.value(), tone);
+  ASSERT_TRUE(played.ok()) << played.status().ToString();
+  runner_->manual_clock()->Advance(tone.size());
+  std::vector<uint8_t> heard(tone.size());
+  auto rec = ac.value()->RecordSamples(t.value(), heard, /*block=*/false);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec.value().actual_bytes, heard.size());
+  // A failed round trip hands its error to the caller, not the handler.
+  EXPECT_EQ(conn_->GetTime(99).status().code(), AfError::kBadDevice);
+  alarm(0);
+  EXPECT_TRUE(errors.empty());
+  // One-way requests still surface their errors immediately.
+  conn_->SetOutputGain(0, 99);
+  EXPECT_EQ(errors.size(), 1u);
   conn_->SetSynchronize(false);
 }
 

@@ -19,6 +19,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -33,6 +34,8 @@
 #include "clients/cores.h"
 #include "clients/server_runner.h"
 #include "common/trace.h"
+#include "devices/sim_hw.h"
+#include "dsp/g711.h"
 #include "proto/oplog.h"
 #include "proto/stats.h"
 #include "server/replication.h"
@@ -599,6 +602,132 @@ TEST_F(FailoverTortureTest, SessionStateSurvivesKillInsideMutationBatch) {
   }
   auto t = bystander_->GetTime(0);
   EXPECT_TRUE(t.ok());
+}
+
+// Bytes of the setup reply `runner` sends a client: the read-side offset
+// at which that client's first reply starts.
+size_t SetupReplyBytes(ServerRunner& runner) {
+  auto pair = CreateStreamPair();
+  EXPECT_TRUE(pair.ok());
+  runner.server().AdoptClient(std::move(pair.value().second));
+  FdStream& raw = pair.value().first;
+  SetupRequest setup;
+  setup.order = HostWireOrder();
+  const auto request = setup.Encode();
+  EXPECT_TRUE(raw.WriteAll(request.data(), request.size()).ok());
+  uint8_t fixed[SetupReply::kFixedBytes];
+  EXPECT_TRUE(raw.ReadAll(fixed, sizeof(fixed)).ok());
+  bool success = false;
+  uint32_t additional_words = 0;
+  EXPECT_TRUE(SetupReply::DecodeFixed(fixed, HostWireOrder(), &success, &additional_words));
+  return sizeof(fixed) + additional_words * 4u;
+}
+
+TEST_F(FailoverTortureTest, PipelinedRecordSurvivesCutAfterAnyChunkReply) {
+  // A 4-chunk record leaves in one write; the connection then dies after
+  // some of its replies arrived. The old connection's sequence numbers must
+  // not be awaited on the healed one (they would match replayed requests
+  // or never be answered): the record either re-queues the unanswered
+  // chunks there and returns the right bytes, or fails with ConnectionLost.
+  // A hang cannot fail an assertion; the alarm ends the process instead.
+  constexpr size_t kChunk = 4096;  // four chunks fit the record buffer
+  const size_t setup_bytes = SetupReplyBytes(*runner_);
+  auto source = std::make_shared<BufferSource>(1 << 15, 1, kMulawSilence);
+  runner_->RunOnLoop([&] { runner_->codec()->sim().SetSource(source); });
+
+  // The bystander keeps the device recording while the audio goes by, and
+  // while each victim's old connection (and its AC) is torn down.
+  auto keeper = bystander_->CreateAC(0, 0, ACAttributes{});
+  ASSERT_TRUE(keeper.ok());
+  auto now = bystander_->GetTime(0);
+  ASSERT_TRUE(now.ok());
+  ASSERT_TRUE(keeper.value()->RecordSamples(now.value(), {}, /*block=*/false).ok());
+  std::vector<uint8_t> audio(4 * kChunk);
+  for (size_t i = 0; i < audio.size(); ++i) {
+    audio[i] = static_cast<uint8_t>((i % 251) ^ (i >> 8));
+  }
+  const ATime start = now.value() + 512;
+  const ATime end = start + static_cast<ATime>(audio.size());
+  runner_->RunOnLoop([&] { source->PutAt(start, audio); });
+  for (ATime t = now.value(); TimeBefore(t, end);) {
+    const ATime step = std::min<ATime>(512, end - t);
+    runner_->manual_clock()->Advance(step);
+    runner_->RunOnLoop([this] { runner_->codec()->Update(); });
+    t += step;
+  }
+
+  const size_t reply_bytes = kReplyBaseBytes + kChunk;
+  for (const bool block : {false, true}) {
+    // Before any reply, after the first (the primary case), mid-reply,
+    // and before the newest chunk's reply (the one AwaitReply reissues).
+    for (const size_t cut : {size_t{0}, reply_bytes, reply_bytes + reply_bytes / 2,
+                             3 * reply_bytes}) {
+      SCOPED_TRACE("block=" + std::to_string(block) + " cut=" + std::to_string(cut));
+      auto faults = std::make_shared<FaultSchedule>();
+      faults->CutReadAt(setup_bytes + cut);
+      auto opened = runner_->ConnectInProcess(faults);
+      ASSERT_TRUE(opened.ok());
+      auto victim = opened.take();
+      size_t async_errors = 0;
+      victim->SetErrorHandler([&](AFAudioConn&, const ErrorPacket&) { ++async_errors; });
+      bool io_error = false;
+      victim->SetIOErrorHandler([&](AFAudioConn&) { io_error = true; });
+      AFAudioConn::ReconnectPolicy policy;
+      policy.enabled = true;
+      policy.backoff_ms = 1;
+      victim->SetReconnectPolicy(policy);
+      victim->SetReconnectFactory(AdoptInto(runner_.get()));
+      auto ac = victim->CreateAC(0, 0, ACAttributes{});
+      ASSERT_TRUE(ac.ok());
+      ac.value()->set_chunk_bytes(kChunk);
+
+      std::vector<uint8_t> heard(audio.size());
+      alarm(20);
+      auto rec = ac.value()->RecordSamples(start, heard, block);
+      alarm(0);
+      EXPECT_EQ(victim->reconnects(), 1u);
+      EXPECT_FALSE(io_error);
+      if (rec.ok()) {
+        EXPECT_EQ(rec.value().actual_bytes, audio.size());
+        EXPECT_EQ(rec.value().time, end);
+        EXPECT_EQ(heard, audio) << "data from a dead sequence number?";
+      } else {
+        EXPECT_EQ(rec.status().code(), AfError::kConnectionLost) << rec.status().ToString();
+      }
+      // The healed connection is in step: the next round trip gets its own
+      // reply, and no record error was left for the handler.
+      auto t = victim->GetTime(0);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      EXPECT_EQ(t.value(), end);
+      EXPECT_EQ(async_errors, 0u);
+    }
+  }
+
+  // Without a server to heal onto, the record fails instead of hanging.
+  auto faults = std::make_shared<FaultSchedule>();
+  faults->CutReadAt(setup_bytes + reply_bytes);
+  auto opened = runner_->ConnectInProcess(faults);
+  ASSERT_TRUE(opened.ok());
+  auto victim = opened.take();
+  bool io_error = false;
+  victim->SetIOErrorHandler([&](AFAudioConn&) { io_error = true; });
+  AFAudioConn::ReconnectPolicy policy;
+  policy.enabled = true;
+  policy.max_attempts = 2;
+  policy.backoff_ms = 1;
+  victim->SetReconnectPolicy(policy);
+  victim->SetReconnectFactory(
+      []() -> Result<FdStream> { return Status(AfError::kConnectionLost, "no server"); });
+  auto ac = victim->CreateAC(0, 0, ACAttributes{});
+  ASSERT_TRUE(ac.ok());
+  ac.value()->set_chunk_bytes(kChunk);
+  std::vector<uint8_t> heard(audio.size());
+  alarm(20);
+  auto rec = ac.value()->RecordSamples(start, heard, /*block=*/false);
+  alarm(0);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), AfError::kConnectionLost);
+  EXPECT_TRUE(io_error);
 }
 
 // ---------------------------------------------------------------------------

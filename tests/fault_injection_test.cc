@@ -1,15 +1,20 @@
 // FaultStream/FaultSchedule unit coverage: every scripted fault kind over
 // a socketpair, trace determinism from a seed, pass-through behaviour when
-// no schedule is attached, and the client/server partial-I/O resume paths
+// no schedule is attached, the client/server partial-I/O resume paths
 // (byte-at-a-time delivery through a live connection must not desync the
-// protocol on either side).
+// protocol on either side), and the pipelined multi-chunk record, whose
+// window of replies crosses shards and split reads in the re-runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "client/audio_context.h"
 #include "clients/server_runner.h"
+#include "devices/sim_hw.h"
+#include "dsp/g711.h"
 #include "transport/fault_stream.h"
 
 namespace af {
@@ -349,6 +354,198 @@ TEST_F(FaultResumeTest, BothSidesFaultySimultaneously) {
   auto rt = conn.value()->GetAtomName(atom.value());
   ASSERT_TRUE(rt.ok());
   EXPECT_EQ(rt.value(), "DOUBLE_FAULT");
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined multi-chunk record
+
+class PipelinedRecordTest : public ::testing::Test {
+ protected:
+  // One recordable device: its clock, the audio on its input, and the
+  // clock step (half its hardware ring, so no update misses a frame).
+  struct Input {
+    AudioDevice* device;
+    ManualSampleClock* clock;
+    BufferSource* source;
+    ATime step;
+  };
+
+  void SetUp() override {
+    ServerRunner::Config config;
+    config.with_codec = true;
+    config.with_hifi = true;
+    config.realtime = false;
+    runner_ = ServerRunner::Start(config);
+    ASSERT_NE(runner_, nullptr);
+    codec_source_ = std::make_shared<BufferSource>(1 << 15, 1, kMulawSilence);
+    hifi_source_ = std::make_shared<BufferSource>(1 << 16, 4, 0);
+    runner_->RunOnLoop([this] {
+      runner_->codec()->sim().SetSource(codec_source_);
+      runner_->hifi()->sim().SetSource(hifi_source_);
+    });
+    // Both ends split their transfers at odd sizes: the server reassembles
+    // each pipelined window from 7-byte reads, and the replies leave and
+    // arrive in pieces that cut packets in the middle.
+    auto client_faults = std::make_shared<FaultSchedule>();
+    client_faults->SetMaxReadChunk(4093);
+    auto server_faults = std::make_shared<FaultSchedule>();
+    server_faults->SetMaxReadChunk(7);
+    server_faults->SetMaxWriteChunk(6007);
+    auto conn = runner_->ConnectInProcess(client_faults, server_faults);
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+    conn_ = conn.take();
+    conn_->SetErrorHandler(
+        [this](AFAudioConn&, const ErrorPacket& error) { async_errors_.push_back(error); });
+  }
+
+  Input Codec() {
+    return {runner_->codec(), runner_->manual_clock().get(), codec_source_.get(), 512};
+  }
+  Input HiFi() {
+    return {runner_->hifi(), runner_->manual_hifi_clock().get(), hifi_source_.get(), 2048};
+  }
+
+  AC* MakeAC(DeviceId device) {
+    auto ac = conn_->CreateAC(device, 0, ACAttributes{});
+    EXPECT_TRUE(ac.ok());
+    return ac.value();
+  }
+
+  // Puts audio.size() bytes of distinct audio on the AC's input and runs
+  // the clock to exactly where they end, so they sit in the record buffer
+  // as the most recent past. Returns the device time the audio starts at.
+  ATime SeedPast(AC* ac, const Input& in, std::vector<uint8_t>* audio) {
+    for (size_t i = 0; i < audio->size(); ++i) {
+      (*audio)[i] = static_cast<uint8_t>((i % 251) ^ (i >> 8));
+    }
+    auto now = conn_->GetTime(ac->device_id());
+    EXPECT_TRUE(now.ok());
+    // Recording is gated: an empty record marks the AC as recording, so
+    // the device captures its input from here on.
+    EXPECT_TRUE(ac->RecordSamples(now.value(), {}, /*block=*/false).ok());
+    const size_t frame_bytes = SamplesToBytes(ac->attrs().encoding, 1, ac->attrs().channels);
+    const ATime start = now.value() + in.step;
+    const ATime end = start + static_cast<ATime>(audio->size() / frame_bytes);
+    runner_->RunOnLoop([&] { in.source->PutAt(start, *audio); });
+    for (ATime t = now.value(); TimeBefore(t, end);) {
+      const ATime step = std::min<ATime>(in.step, end - t);
+      in.clock->Advance(step);
+      runner_->RunOnLoop([&] { in.device->Update(); });
+      t += step;
+    }
+    return start;
+  }
+
+  std::unique_ptr<ServerRunner> runner_;
+  std::shared_ptr<BufferSource> codec_source_;
+  std::shared_ptr<BufferSource> hifi_source_;
+  std::unique_ptr<AFAudioConn> conn_;
+  std::vector<ErrorPacket> async_errors_;
+};
+
+TEST_F(PipelinedRecordTest, ThreeAndAHalfChunksFromThePastAreByteExact) {
+  AC* ac = MakeAC(runner_->codec_id());
+  std::vector<uint8_t> audio(kDefaultChunkBytes * 7 / 2);
+  const ATime start = SeedPast(ac, Codec(), &audio);
+  auto now = conn_->GetTime(runner_->codec_id());
+  ASSERT_TRUE(now.ok());
+  for (const bool block : {true, false}) {
+    std::vector<uint8_t> heard(audio.size());
+    auto rec = ac->RecordSamples(start, heard, block);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_EQ(rec.value().actual_bytes, audio.size()) << "block=" << block;
+    EXPECT_EQ(rec.value().time, now.value()) << "block=" << block;
+    EXPECT_EQ(heard, audio) << "block=" << block;
+  }
+  EXPECT_TRUE(async_errors_.empty());
+}
+
+TEST_F(PipelinedRecordTest, MultiChunkRecordLeavesInOneFlush) {
+  AC* ac = MakeAC(runner_->codec_id());
+  std::vector<uint8_t> audio(kDefaultChunkBytes * 4);
+  const ATime start = SeedPast(ac, Codec(), &audio);
+  std::vector<TraceEvent> events;
+  conn_->SetClientTracing(true);
+  conn_->client_trace().Drain(&events);
+  events.clear();
+  std::vector<uint8_t> heard(audio.size());
+  auto rec = ac->RecordSamples(start, heard, /*block=*/false);
+  conn_->SetClientTracing(false);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(heard, audio);
+  conn_->client_trace().Drain(&events);
+  size_t flushes = 0;
+  size_t enqueues = 0;
+  size_t replies = 0;
+  for (const TraceEvent& ev : events) {
+    flushes += ev.kind == static_cast<uint8_t>(TraceKind::kClientFlush);
+    enqueues += ev.kind == static_cast<uint8_t>(TraceKind::kClientEnqueue);
+    replies += ev.kind == static_cast<uint8_t>(TraceKind::kClientReply);
+  }
+  EXPECT_EQ(flushes, 1u) << "every chunk must leave in the same write";
+  EXPECT_EQ(enqueues, 4u);
+  EXPECT_EQ(replies, 4u);
+}
+
+TEST_F(PipelinedRecordTest, ShortNonBlockingChunkReturnsExactlyThePrefix) {
+  // Audio ends 1000 bytes into chunk 2 of 4: chunk 2 comes back short and
+  // chunks 3 and 4, already in flight, must be taken but not copied.
+  AC* ac = MakeAC(runner_->codec_id());
+  std::vector<uint8_t> audio(kDefaultChunkBytes + 1000);
+  const ATime start = SeedPast(ac, Codec(), &audio);
+  auto now = conn_->GetTime(runner_->codec_id());
+  ASSERT_TRUE(now.ok());
+  std::vector<uint8_t> heard(kDefaultChunkBytes * 4, 0xA5);
+  auto rec = ac->RecordSamples(start, heard, /*block=*/false);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  ASSERT_EQ(rec.value().actual_bytes, audio.size());
+  EXPECT_EQ(rec.value().time, now.value());
+  EXPECT_TRUE(std::equal(audio.begin(), audio.end(), heard.begin()));
+  EXPECT_TRUE(std::all_of(heard.begin() + static_cast<ptrdiff_t>(audio.size()), heard.end(),
+                          [](uint8_t b) { return b == 0xA5; }))
+      << "bytes past the prefix were written";
+  // The replies to chunks 3 and 4 were consumed: the next round trip on the
+  // connection gets its own reply.
+  auto after = conn_->GetTime(runner_->codec_id());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value(), now.value());
+  EXPECT_TRUE(async_errors_.empty());
+}
+
+TEST_F(PipelinedRecordTest, RecordOnFreedACReturnsOneErrorAndNoAsyncOnes) {
+  AC* ac = MakeAC(runner_->codec_id());
+  // Free the AC on the server only; the client object stays usable.
+  FreeACReq free_req;
+  free_req.ac = ac->id();
+  conn_->QueueRequest(Opcode::kFreeAC, free_req);
+  std::vector<uint8_t> buf(kDefaultChunkBytes * 4);
+  auto rec = ac->RecordSamples(0, buf, /*block=*/false);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), AfError::kBadAC);
+  // Every chunk failed; all four errors were taken by the record, so none
+  // is left to reach the handler during the next round trips.
+  conn_->Sync();
+  auto t = conn_->GetTime(runner_->codec_id());
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_TRUE(async_errors_.empty()) << async_errors_.size() << " errors leaked";
+}
+
+TEST_F(PipelinedRecordTest, RecordLongerThanOneWindowIsByteExact) {
+  // 25 chunks of 48 kHz stereo lin16: more than one 16-chunk window.
+  AC* ac = MakeAC(runner_->hifi_id());
+  std::vector<uint8_t> audio(kDefaultChunkBytes * 25);
+  const ATime start = SeedPast(ac, HiFi(), &audio);
+  auto now = conn_->GetTime(runner_->hifi_id());
+  ASSERT_TRUE(now.ok());
+  for (const bool block : {true, false}) {
+    std::vector<uint8_t> heard(audio.size());
+    auto rec = ac->RecordSamples(start, heard, block);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_EQ(rec.value().actual_bytes, audio.size()) << "block=" << block;
+    EXPECT_EQ(rec.value().time, now.value()) << "block=" << block;
+    EXPECT_EQ(heard, audio) << "block=" << block;
+  }
+  EXPECT_TRUE(async_errors_.empty());
 }
 
 }  // namespace
