@@ -175,8 +175,18 @@ fi
 
 echo "== asniff decodes a live aplay session =="
 # asniff -demo relays a real aplay/arecord session through the wire
-# decoder; a framing failure (saw_error) makes it exit nonzero.
-./build/examples/asniff -demo -quiet
+# decoder; a framing failure (saw_error) makes it exit nonzero. The lines
+# must carry the decoded fields too, not just the framing: the demo's
+# CreateAC, its 1000-byte play chunks, its 800-byte record and its GetTime
+# calls on device 0.
+ASNIFF_OUT="$(./build/examples/asniff -demo)"
+for want in 'c->s CreateAC ' 'c->s PlaySamples .*nbytes=1000' \
+            'c->s RecordSamples .*nbytes=800' 'c->s GetTime .*dev=0'; do
+    printf '%s\n' "$ASNIFF_OUT" | grep -q -- "$want" || {
+        echo "asniff: no line matching '$want'" >&2
+        exit 1
+    }
+done
 
 echo "== astat --json against a live server =="
 # astat -demo starts an in-process server, drives play/record traffic

@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <stdlib.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -14,10 +15,12 @@ namespace af {
 
 namespace {
 
-// An empty request body.
-struct EmptyBody {
-  void Encode(WireWriter&) const {}
-};
+// Errors and replies both carry their sequence number in bytes 2-3.
+uint16_t PacketSeq(std::span<const uint8_t> packet, WireOrder order) {
+  WireReader r(packet, order);
+  r.Skip(2);
+  return r.U16();
+}
 
 }  // namespace
 
@@ -321,48 +324,61 @@ void AFAudioConn::RoutePacket(std::vector<uint8_t> packet, uint16_t awaited_seq,
     }
     return;
   }
-  if (type == kErrorPacketType) {
-    ErrorPacket error;
-    if (ErrorPacket::Decode(packet, order_, &error)) {
-      if (got_awaited != nullptr && error.seq == awaited_seq) {
-        // The awaited request failed: surface it to the caller rather than
-        // the asynchronous error handler.
-        *got_awaited = true;
-        awaited_out->clear();
-        last_awaited_error_ = error;
-        return;
-      }
-      DispatchError(error);
+  ErrorPacket error;
+  const bool is_error = type == kErrorPacketType;
+  if ((is_error && !ErrorPacket::Decode(packet, order_, &error)) ||
+      (!is_error && type != kReplyPacketType)) {
+    return;
+  }
+  const uint16_t seq = PacketSeq(packet, order_);
+  if (got_awaited != nullptr && seq == awaited_seq) {
+    *got_awaited = true;
+    if (is_error) {
+      // The awaited request failed: surface it to the caller rather than
+      // the asynchronous error handler.
+      awaited_out->clear();
+      last_awaited_error_ = error;
+    } else {
+      *awaited_out = std::move(packet);
     }
     return;
   }
-  if (type == kReplyPacketType && got_awaited != nullptr) {
-    ReplyHeader header;
-    PeekReplyHeader(packet, order_, &header);
-    if (header.seq == awaited_seq) {
-      *got_awaited = true;
-      *awaited_out = std::move(packet);
-      return;
-    }
+  if (std::find(awaiting_.begin(), awaiting_.end(), seq) != awaiting_.end()) {
+    held_.push_back(std::move(packet));
+    return;
   }
-  // An unexpected reply: drop it (every round trip awaits its replies in
-  // sequence order, so nothing is left waiting for this one).
+  if (is_error) {
+    DispatchError(error);
+  }
+  // Any other reply is dropped: nothing will ask for it.
 }
 
 Result<std::vector<uint8_t>> AFAudioConn::AwaitReply(uint16_t seq) {
+  // From here on this call takes seq's reply; one that arrived while
+  // another round trip read the stream waits in held_.
+  std::erase(awaiting_, seq);
+  bool got = false;
+  std::vector<uint8_t> reply;
+  const auto held = std::find_if(held_.begin(), held_.end(), [&](const auto& packet) {
+    return PacketSeq(packet, order_) == seq;
+  });
+  if (held != held_.end()) {
+    std::vector<uint8_t> packet = std::move(*held);
+    held_.erase(held);
+    RoutePacket(std::move(packet), seq, &got, &reply);
+  }
   // One reissue is allowed: if the transport dies mid-await and the
   // reconnect machinery heals it, the awaited request's bytes died with
-  // the old connection, so they are re-queued verbatim under a new
-  // sequence number (request bodies never encode sequence numbers).
-  for (int attempt = 0;; ++attempt) {
+  // the old connection, so they are re-queued under a new sequence number
+  // (request bodies never encode sequence numbers; the session replay
+  // already renamed an AC-bound request's AC id).
+  for (int attempt = 0; !got; ++attempt) {
     const uint64_t gen = reconnects_;
     Flush();
     if (broken_) {
       return Status(AfError::kConnectionLost);
     }
     bool healed = reconnects_ != gen;
-    bool got = false;
-    std::vector<uint8_t> reply;
     while (!healed && !got) {
       while (!got) {
         auto packet = TakePacket();
@@ -381,13 +397,7 @@ Result<std::vector<uint8_t>> AFAudioConn::AwaitReply(uint16_t seq) {
       }
     }
     if (got) {
-      NoteReply(seq);
-      if (reply.empty()) {
-        return Status(last_awaited_error_.code,
-                      std::string("request ") + OpcodeName(last_awaited_error_.opcode) +
-                          " failed");
-      }
-      return reply;
+      break;
     }
     // Healed mid-await: reissue once, then give up.
     if (attempt > 0 || seq != last_request_seq_ || last_request_.empty()) {
@@ -396,12 +406,18 @@ Result<std::vector<uint8_t>> AFAudioConn::AwaitReply(uint16_t seq) {
     out_.Bytes(last_request_.data(), last_request_.size());
     ++seq_;
     ++seq_total_;
-    // The verbatim bytes carry the original aux trailer, so the reissued
-    // request keeps its correlation ID; follow it in the pending table.
+    // The reissued bytes carry the original aux trailer, so the request
+    // keeps its correlation ID; follow it in the pending table.
     RepointPending(last_request_seq_, seq_);
     last_request_seq_ = seq_;
     seq = seq_;
   }
+  NoteReply(seq);
+  if (reply.empty()) {
+    return Status(last_awaited_error_.code,
+                  std::string("request ") + OpcodeName(last_awaited_error_.opcode) + " failed");
+  }
+  return reply;
 }
 
 // ---------------------------------------------------------------------------
@@ -412,14 +428,14 @@ void AFAudioConn::Sync() {
     return;
   }
   in_sync_ = true;
-  (void)RoundTrip(Opcode::kSyncConnection, EmptyBody{});
+  (void)RoundTrip(Opcode::kSyncConnection, EmptyReq{});
   in_sync_ = false;
 }
 
-void AFAudioConn::NoOp() { QueueRequest(Opcode::kNoOperation, EmptyBody{}); }
+void AFAudioConn::NoOp() { QueueRequest(Opcode::kNoOperation, EmptyReq{}); }
 
 Result<ServerStatsWire> AFAudioConn::GetServerStats() {
-  auto reply = RoundTrip(Opcode::kGetServerStats, EmptyBody{});
+  auto reply = RoundTrip(Opcode::kGetServerStats, EmptyReq{});
   if (!reply.ok()) {
     return reply.status();
   }
@@ -567,6 +583,8 @@ bool AFAudioConn::TryReconnect() {
     in_consumed_ = 0;
     out_ = WireWriter(HostWireOrder());
     seq_ = 0;
+    awaiting_.clear();  // the old connection's sequence numbers are dead
+    held_.clear();
     next_resource_ = 0;  // the new connection assigns a new id base
     if (!DoSetup().ok() || broken_) {
       broken_ = true;
@@ -588,7 +606,12 @@ void AFAudioConn::ReplaySession() {
   // Audio contexts first: each live AC gets a fresh resource id under the
   // new connection's id base and is recreated with its full attribute set
   // (the client-side mirror), so the server copy is bit-equal to the one
-  // that died.
+  // that died. The heal reissues the newest request: if it leads with an
+  // AC id, that word is renamed with its AC, and a request whose AC is
+  // gone is not reissued at all.
+  const bool ac_bound = last_request_.size() >= kRequestHeaderBytes + 4 &&
+                        OpcodeRoute(static_cast<Opcode>(last_request_[0])) == Route::kACWord0;
+  bool renamed = false;
   for (auto& ac : acs_) {
     CreateACReq req;
     req.ac = AllocResourceId();
@@ -596,8 +619,17 @@ void AFAudioConn::ReplaySession() {
     req.value_mask = kACPlayGain | kACRecordGain | kACPreemption | kACEndian |
                      kACEncodingType | kACChannels;
     req.attrs = ac->attrs_;
+    // Requests travel in host order, so word 0 is a host-order ACId.
+    if (ac_bound && !renamed &&
+        std::memcmp(last_request_.data() + kRequestHeaderBytes, &ac->id_, 4) == 0) {
+      std::memcpy(last_request_.data() + kRequestHeaderBytes, &req.ac, 4);
+      renamed = true;
+    }
     ac->id_ = req.ac;
     QueueRequest(Opcode::kCreateAC, req);
+  }
+  if (ac_bound && !renamed) {
+    last_request_.clear();
   }
   // Device settings: gains, then the absolute connector masks (enable the
   // recorded mask, disable its complement), then event selections.

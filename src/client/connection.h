@@ -233,6 +233,9 @@ class AFAudioConn {
     EndRequest(out_, header);
     ++seq_;
     ++seq_total_;
+    if (reply == ReplyMode::kAwaited) {
+      awaiting_.push_back(seq_);
+    }
     if (corr != 0) {
       NoteEnqueue(op, corr, out_.size() - header);
     }
@@ -244,8 +247,11 @@ class AFAudioConn {
       last_request_seq_ = seq_;
       last_request_corr_ = corr;
     }
+    // The after-function may queue requests of its own (a Sync, say), so
+    // the sequence number is taken before it runs.
+    const uint16_t seq = seq_;
     MaybeAutoFlush(reply);
-    return seq_;
+    return seq;
   }
   // Flushes and blocks until the reply for seq arrives; events are queued,
   // foreign errors dispatched. The reply bytes (32 + extra) are returned.
@@ -273,7 +279,9 @@ class AFAudioConn {
   Status FillFromSocket(bool block);
   // Extracts one complete packet from the input buffer, if present.
   std::optional<std::vector<uint8_t>> TakePacket();
-  // Routes a non-awaited packet (event or error).
+  // Routes one packet: the reply (or error) for awaited_seq to the caller,
+  // events to the queue, a reply or error some later AwaitReply will ask
+  // for to held_, other errors to the handler; other replies are dropped.
   void RoutePacket(std::vector<uint8_t> packet, uint16_t awaited_seq, bool* got_awaited,
                    std::vector<uint8_t>* awaited_out);
   void DispatchError(const ErrorPacket& error);
@@ -331,6 +339,11 @@ class AFAudioConn {
 
   std::deque<AEvent> event_queue_;
   ErrorPacket last_awaited_error_;  // error that failed the awaited request
+  // Sequence numbers queued with ReplyMode::kAwaited whose AwaitReply has
+  // not started, and the replies or errors for them that arrived while
+  // another round trip read the stream (an after-function's Sync, say).
+  std::vector<uint16_t> awaiting_;
+  std::vector<std::vector<uint8_t>> held_;
   ErrorHandler error_handler_;
   IOErrorHandler io_error_handler_;
   AfterFunction after_fn_;

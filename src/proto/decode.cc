@@ -5,12 +5,12 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <type_traits>
 
 #include "common/error.h"
 #include "proto/events.h"
 #include "proto/requests.h"
 #include "proto/setup.h"
-#include "proto/trace_wire.h"
 #include "proto/types.h"
 
 namespace af {
@@ -54,227 +54,64 @@ const char* EncodingName(AEncodeType t) {
   return i < kNumEncodeTypes ? SampleTypeOf(t).name : "?";
 }
 
-void AppendACAttributes(std::string* out, uint32_t mask, const ACAttributes& a) {
-  Appendf(out, " mask=0x%x", mask);
-  if (mask & kACPlayGain) Appendf(out, " play_gain=%d", a.play_gain_db);
-  if (mask & kACRecordGain) Appendf(out, " rec_gain=%d", a.record_gain_db);
-  if (mask & kACPreemption) Appendf(out, " %s", a.preempt ? "preempt" : "mix");
-  if (mask & kACEndian) Appendf(out, " %s", a.big_endian_data ? "be" : "le");
-  if (mask & kACEncodingType) Appendf(out, " enc=%s", EncodingName(a.encoding));
-  if (mask & kACChannels) Appendf(out, " ch=%u", a.channels);
-}
+// The printer walk of a Fields list: " name=value" per field. Words print
+// in decimal (signed ones signed), flags and masks in hex, the encoding by
+// name; the nested attributes in braces; strings quoted; byte blobs as hex
+// (the first 16 bytes); sample data as its byte count.
+class FieldPrinter {
+ public:
+  explicit FieldPrinter(std::string* line) : line_(line) {}
 
-// Decodes the body of one request into the tail of *line. The reader is
-// positioned after the 4-byte header. Unknown fields never crash: the
-// reader is bounds-checked and the caller appends <truncated> if it went
-// sour.
-void AppendRequestBody(std::string* line, Opcode op, WireReader& r) {
-  switch (op) {
-    case Opcode::kSelectEvents: {
-      SelectEventsReq q;
-      if (SelectEventsReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u mask=0x%x", q.device, q.mask);
-      }
-      return;
+  template <typename T>
+  void Word(const char* name, const T& x, Show show = Show::kDec) {
+    Name(name);
+    if constexpr (std::is_same_v<T, AEncodeType>) {
+      line_->append(EncodingName(x));
+    } else if constexpr (std::is_signed_v<T>) {
+      Appendf(line_, "%d", static_cast<int>(x));
+    } else {
+      Appendf(line_, show == Show::kHex ? "0x%x" : "%u", static_cast<uint32_t>(x));
     }
-    case Opcode::kCreateAC: {
-      CreateACReq q;
-      if (CreateACReq::Decode(r, &q)) {
-        Appendf(line, " ac=%u dev=%u", q.ac, q.device);
-        AppendACAttributes(line, q.value_mask, q.attrs);
-      }
-      return;
-    }
-    case Opcode::kChangeACAttributes: {
-      ChangeACAttributesReq q;
-      if (ChangeACAttributesReq::Decode(r, &q)) {
-        Appendf(line, " ac=%u", q.ac);
-        AppendACAttributes(line, q.value_mask, q.attrs);
-      }
-      return;
-    }
-    case Opcode::kFreeAC: {
-      FreeACReq q;
-      if (FreeACReq::Decode(r, &q)) Appendf(line, " ac=%u", q.ac);
-      return;
-    }
-    case Opcode::kPlaySamples: {
-      PlaySamplesReq q;
-      if (PlaySamplesReq::Decode(r, &q)) {
-        Appendf(line, " ac=%u time=%u nbytes=%u flags=0x%x", q.ac, q.start_time,
-                q.nbytes, q.flags);
-      }
-      return;
-    }
-    case Opcode::kRecordSamples: {
-      RecordSamplesReq q;
-      if (RecordSamplesReq::Decode(r, &q)) {
-        Appendf(line, " ac=%u time=%u nbytes=%u flags=0x%x", q.ac, q.start_time,
-                q.nbytes, q.flags);
-      }
-      return;
-    }
-    case Opcode::kGetTime: {
-      GetTimeReq q;
-      if (GetTimeReq::Decode(r, &q)) Appendf(line, " dev=%u", q.device);
-      return;
-    }
-    case Opcode::kQueryPhone: {
-      QueryPhoneReq q;
-      if (QueryPhoneReq::Decode(r, &q)) Appendf(line, " dev=%u", q.device);
-      return;
-    }
-    case Opcode::kEnablePassThrough:
-    case Opcode::kDisablePassThrough: {
-      PassThroughReq q;
-      if (PassThroughReq::Decode(r, &q)) {
-        Appendf(line, " dev_a=%u dev_b=%u", q.device_a, q.device_b);
-      }
-      return;
-    }
-    case Opcode::kHookSwitch: {
-      HookSwitchReq q;
-      if (HookSwitchReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u %s", q.device, q.off_hook ? "off-hook" : "on-hook");
-      }
-      return;
-    }
-    case Opcode::kFlashHook: {
-      FlashHookReq q;
-      if (FlashHookReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u dur=%ums", q.device, q.duration_ms);
-      }
-      return;
-    }
-    case Opcode::kEnableGainControl:
-    case Opcode::kDisableGainControl: {
-      GainControlReq q;
-      if (GainControlReq::Decode(r, &q)) Appendf(line, " dev=%u", q.device);
-      return;
-    }
-    case Opcode::kDialPhone: {
-      DialPhoneReq q;
-      if (DialPhoneReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u number=", q.device);
-        AppendQuoted(line, q.number);
-      }
-      return;
-    }
-    case Opcode::kSetInputGain:
-    case Opcode::kSetOutputGain: {
-      SetGainReq q;
-      if (SetGainReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u gain=%ddB", q.device, q.gain_db);
-      }
-      return;
-    }
-    case Opcode::kQueryInputGain:
-    case Opcode::kQueryOutputGain: {
-      QueryGainReq q;
-      if (QueryGainReq::Decode(r, &q)) Appendf(line, " dev=%u", q.device);
-      return;
-    }
-    case Opcode::kEnableInput:
-    case Opcode::kEnableOutput:
-    case Opcode::kDisableInput:
-    case Opcode::kDisableOutput: {
-      IOEnableReq q;
-      if (IOEnableReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u mask=0x%x", q.device, q.mask);
-      }
-      return;
-    }
-    case Opcode::kSetAccessControl: {
-      SetAccessControlReq q;
-      if (SetAccessControlReq::Decode(r, &q)) {
-        Appendf(line, " %s", q.enabled ? "enabled" : "disabled");
-      }
-      return;
-    }
-    case Opcode::kChangeHosts: {
-      ChangeHostsReq q;
-      if (ChangeHostsReq::Decode(r, &q)) {
-        Appendf(line, " %s family=%u addr_bytes=%zu",
-                q.mode == HostChangeMode::kInsert ? "insert" : "delete", q.family,
-                q.address.size());
-      }
-      return;
-    }
-    case Opcode::kInternAtom: {
-      InternAtomReq q;
-      if (InternAtomReq::Decode(r, &q)) {
-        Appendf(line, " only_if_exists=%u name=", q.only_if_exists);
-        AppendQuoted(line, q.name);
-      }
-      return;
-    }
-    case Opcode::kGetAtomName: {
-      GetAtomNameReq q;
-      if (GetAtomNameReq::Decode(r, &q)) Appendf(line, " atom=%u", q.atom);
-      return;
-    }
-    case Opcode::kChangeProperty: {
-      ChangePropertyReq q;
-      if (ChangePropertyReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u prop=%u type=%u fmt=%u mode=%u nbytes=%zu", q.device,
-                q.property, q.type, q.format, static_cast<uint32_t>(q.mode),
-                q.data.size());
-      }
-      return;
-    }
-    case Opcode::kDeleteProperty: {
-      DeletePropertyReq q;
-      if (DeletePropertyReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u prop=%u", q.device, q.property);
-      }
-      return;
-    }
-    case Opcode::kGetProperty: {
-      GetPropertyReq q;
-      if (GetPropertyReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u prop=%u type=%u off=%u len=%u delete=%u", q.device,
-                q.property, q.type, q.long_offset, q.long_length, q.do_delete);
-      }
-      return;
-    }
-    case Opcode::kListProperties: {
-      ListPropertiesReq q;
-      if (ListPropertiesReq::Decode(r, &q)) Appendf(line, " dev=%u", q.device);
-      return;
-    }
-    case Opcode::kQueryExtension: {
-      QueryExtensionReq q;
-      if (QueryExtensionReq::Decode(r, &q)) {
-        line->append(" name=");
-        AppendQuoted(line, q.name);
-      }
-      return;
-    }
-    case Opcode::kKillClient: {
-      KillClientReq q;
-      if (KillClientReq::Decode(r, &q)) Appendf(line, " resource=%u", q.resource);
-      return;
-    }
-    case Opcode::kGetTrace: {
-      GetTraceReq q;
-      if (GetTraceReq::Decode(r, &q)) Appendf(line, " flags=0x%x", q.flags);
-      return;
-    }
-    case Opcode::kResyncTime: {
-      ResyncTimeReq q;
-      if (ResyncTimeReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u watermark=%u", q.device, q.client_watermark);
-      }
-      return;
-    }
-    case Opcode::kListHosts:
-    case Opcode::kNoOperation:
-    case Opcode::kSyncConnection:
-    case Opcode::kListExtensions:
-    case Opcode::kGetServerStats:
-      return;  // empty bodies
   }
-}
+  template <typename A>
+  void Attrs(const char* name, A& a) {
+    Name(name);
+    line_->push_back('{');
+    first_ = true;
+    a.Fields(*this);
+    line_->push_back('}');
+  }
+  void Blob(const char* name, const std::string& s) {
+    Name(name);
+    AppendQuoted(line_, s);
+  }
+  void Blob(const char* name, const std::vector<uint8_t>& bytes) {
+    Name(name);
+    for (size_t i = 0; i < bytes.size() && i < 16; ++i) {
+      Appendf(line_, "%02x", bytes[i]);
+    }
+    if (bytes.size() > 16) {
+      line_->append("...");
+    }
+  }
+  void Samples(const char* name, uint32_t, std::span<const uint8_t> data) {
+    Name(name);
+    Appendf(line_, "[%zu bytes]", data.size());
+  }
+
+ private:
+  void Name(const char* name) {
+    if (!first_) {
+      line_->push_back(' ');
+    }
+    first_ = false;
+    line_->append(name);
+    line_->push_back('=');
+  }
+
+  std::string* line_;
+  bool first_ = false;  // the first field inside braces takes no space
+};
 
 }  // namespace
 
@@ -294,7 +131,12 @@ std::string DecodeRequestLine(std::span<const uint8_t> msg, WireOrder order) {
   if (header.ext != 0) {
     Appendf(&line, " ext=%u", header.ext);
   }
-  AppendRequestBody(&line, header.opcode, r);
+  VisitRequestBody(header.opcode, [&](auto body) {
+    if (decltype(body)::Decode(r, &body)) {
+      FieldPrinter printer(&line);
+      body.Fields(printer);
+    }
+  });
   if (!r.ok()) {
     line.append(" <truncated>");
   }

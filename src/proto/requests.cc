@@ -34,49 +34,8 @@ size_t BytesToSamples(AEncodeType type, size_t nbytes, unsigned nchannels) {
 }
 
 const char* OpcodeName(Opcode op) {
-  switch (op) {
-    case Opcode::kSelectEvents: return "SelectEvents";
-    case Opcode::kCreateAC: return "CreateAC";
-    case Opcode::kChangeACAttributes: return "ChangeACAttributes";
-    case Opcode::kFreeAC: return "FreeAC";
-    case Opcode::kPlaySamples: return "PlaySamples";
-    case Opcode::kRecordSamples: return "RecordSamples";
-    case Opcode::kGetTime: return "GetTime";
-    case Opcode::kQueryPhone: return "QueryPhone";
-    case Opcode::kEnablePassThrough: return "EnablePassThrough";
-    case Opcode::kDisablePassThrough: return "DisablePassThrough";
-    case Opcode::kHookSwitch: return "HookSwitch";
-    case Opcode::kFlashHook: return "FlashHook";
-    case Opcode::kEnableGainControl: return "EnableGainControl";
-    case Opcode::kDisableGainControl: return "DisableGainControl";
-    case Opcode::kDialPhone: return "DialPhone";
-    case Opcode::kSetInputGain: return "SetInputGain";
-    case Opcode::kSetOutputGain: return "SetOutputGain";
-    case Opcode::kQueryInputGain: return "QueryInputGain";
-    case Opcode::kQueryOutputGain: return "QueryOutputGain";
-    case Opcode::kEnableInput: return "EnableInput";
-    case Opcode::kEnableOutput: return "EnableOutput";
-    case Opcode::kDisableInput: return "DisableInput";
-    case Opcode::kDisableOutput: return "DisableOutput";
-    case Opcode::kSetAccessControl: return "SetAccessControl";
-    case Opcode::kChangeHosts: return "ChangeHosts";
-    case Opcode::kListHosts: return "ListHosts";
-    case Opcode::kInternAtom: return "InternAtom";
-    case Opcode::kGetAtomName: return "GetAtomName";
-    case Opcode::kChangeProperty: return "ChangeProperty";
-    case Opcode::kDeleteProperty: return "DeleteProperty";
-    case Opcode::kGetProperty: return "GetProperty";
-    case Opcode::kListProperties: return "ListProperties";
-    case Opcode::kNoOperation: return "NoOperation";
-    case Opcode::kSyncConnection: return "SyncConnection";
-    case Opcode::kQueryExtension: return "QueryExtension";
-    case Opcode::kListExtensions: return "ListExtensions";
-    case Opcode::kKillClient: return "KillClient";
-    case Opcode::kGetServerStats: return "GetServerStats";
-    case Opcode::kGetTrace: return "GetTrace";
-    case Opcode::kResyncTime: return "ResyncTime";
-  }
-  return "Unknown";
+  const uint8_t i = static_cast<uint8_t>(op);
+  return i >= kMinOpcode && i <= kMaxOpcode ? kOpcodeInfo[i - kMinOpcode].name : "Unknown";
 }
 
 uint32_t EventMaskFor(EventType type) {
@@ -122,368 +81,26 @@ bool DecodeRequestHeader(WireReader& r, RequestHeader* out) {
 }
 
 // ---------------------------------------------------------------------------
-// Request bodies
-
-void SelectEventsReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(mask);
-}
-
-bool SelectEventsReq::Decode(WireReader& r, SelectEventsReq* out) {
-  out->device = r.U32();
-  out->mask = r.U32();
-  return r.ok();
-}
-
-namespace {
-
-void EncodeACAttributes(WireWriter& w, const ACAttributes& a) {
-  w.I32(a.play_gain_db);
-  w.I32(a.record_gain_db);
-  w.U32(a.preempt);
-  w.U32(a.big_endian_data);
-  w.U32(static_cast<uint32_t>(a.encoding));
-  w.U32(a.channels);
-}
-
-bool DecodeACAttributes(WireReader& r, ACAttributes* a) {
-  a->play_gain_db = r.I32();
-  a->record_gain_db = r.I32();
-  a->preempt = r.U32();
-  a->big_endian_data = r.U32();
-  a->encoding = static_cast<AEncodeType>(r.U32());
-  a->channels = r.U32();
-  return r.ok();
-}
-
-}  // namespace
-
-void CreateACReq::Encode(WireWriter& w) const {
-  w.U32(ac);
-  w.U32(device);
-  w.U32(value_mask);
-  EncodeACAttributes(w, attrs);
-}
-
-bool CreateACReq::Decode(WireReader& r, CreateACReq* out) {
-  out->ac = r.U32();
-  out->device = r.U32();
-  out->value_mask = r.U32();
-  return DecodeACAttributes(r, &out->attrs);
-}
-
-void ChangeACAttributesReq::Encode(WireWriter& w) const {
-  w.U32(ac);
-  w.U32(value_mask);
-  EncodeACAttributes(w, attrs);
-}
-
-bool ChangeACAttributesReq::Decode(WireReader& r, ChangeACAttributesReq* out) {
-  out->ac = r.U32();
-  out->value_mask = r.U32();
-  return DecodeACAttributes(r, &out->attrs);
-}
-
-void FreeACReq::Encode(WireWriter& w) const { w.U32(ac); }
-
-bool FreeACReq::Decode(WireReader& r, FreeACReq* out) {
-  out->ac = r.U32();
-  return r.ok();
-}
-
-void PlaySamplesReq::Encode(WireWriter& w) const {
-  w.U32(ac);
-  w.U32(start_time);
-  w.U32(nbytes);
-  w.U32(flags);
-  w.Bytes(data);
-}
-
-bool PlaySamplesReq::Decode(WireReader& r, PlaySamplesReq* out) {
-  out->ac = r.U32();
-  out->start_time = r.U32();
-  out->nbytes = r.U32();
-  out->flags = r.U32();
-  out->data = r.Bytes(out->nbytes);
-  return r.ok();
-}
-
-void RecordSamplesReq::Encode(WireWriter& w) const {
-  w.U32(ac);
-  w.U32(start_time);
-  w.U32(nbytes);
-  w.U32(flags);
-}
-
-bool RecordSamplesReq::Decode(WireReader& r, RecordSamplesReq* out) {
-  out->ac = r.U32();
-  out->start_time = r.U32();
-  out->nbytes = r.U32();
-  out->flags = r.U32();
-  return r.ok();
-}
-
-void GetTimeReq::Encode(WireWriter& w) const { w.U32(device); }
-
-bool GetTimeReq::Decode(WireReader& r, GetTimeReq* out) {
-  out->device = r.U32();
-  return r.ok();
-}
-
-void ResyncTimeReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(client_watermark);
-}
-
-bool ResyncTimeReq::Decode(WireReader& r, ResyncTimeReq* out) {
-  out->device = r.U32();
-  out->client_watermark = r.U32();
-  return r.ok();
-}
-
-void QueryPhoneReq::Encode(WireWriter& w) const { w.U32(device); }
-
-bool QueryPhoneReq::Decode(WireReader& r, QueryPhoneReq* out) {
-  out->device = r.U32();
-  return r.ok();
-}
-
-void PassThroughReq::Encode(WireWriter& w) const {
-  w.U32(device_a);
-  w.U32(device_b);
-}
-
-bool PassThroughReq::Decode(WireReader& r, PassThroughReq* out) {
-  out->device_a = r.U32();
-  out->device_b = r.U32();
-  return r.ok();
-}
-
-void HookSwitchReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(off_hook);
-}
-
-bool HookSwitchReq::Decode(WireReader& r, HookSwitchReq* out) {
-  out->device = r.U32();
-  out->off_hook = r.U32();
-  return r.ok();
-}
-
-void FlashHookReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(duration_ms);
-}
-
-bool FlashHookReq::Decode(WireReader& r, FlashHookReq* out) {
-  out->device = r.U32();
-  out->duration_ms = r.U32();
-  return r.ok();
-}
-
-void GainControlReq::Encode(WireWriter& w) const { w.U32(device); }
-
-bool GainControlReq::Decode(WireReader& r, GainControlReq* out) {
-  out->device = r.U32();
-  return r.ok();
-}
-
-void DialPhoneReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(static_cast<uint32_t>(number.size()));
-  w.PaddedString(number);
-}
-
-bool DialPhoneReq::Decode(WireReader& r, DialPhoneReq* out) {
-  out->device = r.U32();
-  const uint32_t len = r.U32();
-  out->number = r.PaddedString(len);
-  return r.ok();
-}
-
-void SetGainReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.I32(gain_db);
-}
-
-bool SetGainReq::Decode(WireReader& r, SetGainReq* out) {
-  out->device = r.U32();
-  out->gain_db = r.I32();
-  return r.ok();
-}
-
-void QueryGainReq::Encode(WireWriter& w) const { w.U32(device); }
-
-bool QueryGainReq::Decode(WireReader& r, QueryGainReq* out) {
-  out->device = r.U32();
-  return r.ok();
-}
-
-void IOEnableReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(mask);
-}
-
-bool IOEnableReq::Decode(WireReader& r, IOEnableReq* out) {
-  out->device = r.U32();
-  out->mask = r.U32();
-  return r.ok();
-}
-
-void SetAccessControlReq::Encode(WireWriter& w) const { w.U32(enabled); }
-
-bool SetAccessControlReq::Decode(WireReader& r, SetAccessControlReq* out) {
-  out->enabled = r.U32();
-  return r.ok();
-}
-
-void ChangeHostsReq::Encode(WireWriter& w) const {
-  w.U32(static_cast<uint32_t>(mode));
-  w.U32(family);
-  w.U32(static_cast<uint32_t>(address.size()));
-  w.Bytes(address);
-  w.AlignPad();
-}
-
-bool ChangeHostsReq::Decode(WireReader& r, ChangeHostsReq* out) {
-  out->mode = static_cast<HostChangeMode>(r.U32());
-  out->family = r.U32();
-  const uint32_t len = r.U32();
-  auto view = r.Bytes(len);
-  out->address.assign(view.begin(), view.end());
-  r.AlignSkip();
-  return r.ok();
-}
-
-bool ListHostsReq::Decode(WireReader& r, ListHostsReq* out) {
-  (void)r;
-  (void)out;
-  return true;
-}
-
-void InternAtomReq::Encode(WireWriter& w) const {
-  w.U32(only_if_exists);
-  w.U32(static_cast<uint32_t>(name.size()));
-  w.PaddedString(name);
-}
-
-bool InternAtomReq::Decode(WireReader& r, InternAtomReq* out) {
-  out->only_if_exists = r.U32();
-  const uint32_t len = r.U32();
-  out->name = r.PaddedString(len);
-  return r.ok();
-}
-
-void GetAtomNameReq::Encode(WireWriter& w) const { w.U32(atom); }
-
-bool GetAtomNameReq::Decode(WireReader& r, GetAtomNameReq* out) {
-  out->atom = r.U32();
-  return r.ok();
-}
-
-void ChangePropertyReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(property);
-  w.U32(type);
-  w.U32(format);
-  w.U32(static_cast<uint32_t>(mode));
-  w.U32(static_cast<uint32_t>(data.size()));
-  w.Bytes(data);
-  w.AlignPad();
-}
-
-bool ChangePropertyReq::Decode(WireReader& r, ChangePropertyReq* out) {
-  out->device = r.U32();
-  out->property = r.U32();
-  out->type = r.U32();
-  out->format = r.U32();
-  out->mode = static_cast<PropertyMode>(r.U32());
-  const uint32_t len = r.U32();
-  auto view = r.Bytes(len);
-  out->data.assign(view.begin(), view.end());
-  r.AlignSkip();
-  return r.ok();
-}
-
-void DeletePropertyReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(property);
-}
-
-bool DeletePropertyReq::Decode(WireReader& r, DeletePropertyReq* out) {
-  out->device = r.U32();
-  out->property = r.U32();
-  return r.ok();
-}
-
-void GetPropertyReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(property);
-  w.U32(type);
-  w.U32(long_offset);
-  w.U32(long_length);
-  w.U32(do_delete);
-}
-
-bool GetPropertyReq::Decode(WireReader& r, GetPropertyReq* out) {
-  out->device = r.U32();
-  out->property = r.U32();
-  out->type = r.U32();
-  out->long_offset = r.U32();
-  out->long_length = r.U32();
-  out->do_delete = r.U32();
-  return r.ok();
-}
-
-void ListPropertiesReq::Encode(WireWriter& w) const { w.U32(device); }
-
-bool ListPropertiesReq::Decode(WireReader& r, ListPropertiesReq* out) {
-  out->device = r.U32();
-  return r.ok();
-}
-
-void QueryExtensionReq::Encode(WireWriter& w) const {
-  w.U32(static_cast<uint32_t>(name.size()));
-  w.PaddedString(name);
-}
-
-bool QueryExtensionReq::Decode(WireReader& r, QueryExtensionReq* out) {
-  const uint32_t len = r.U32();
-  out->name = r.PaddedString(len);
-  return r.ok();
-}
-
-void KillClientReq::Encode(WireWriter& w) const { w.U32(resource); }
-
-bool KillClientReq::Decode(WireReader& r, KillClientReq* out) {
-  out->resource = r.U32();
-  return r.ok();
-}
-
-// ---------------------------------------------------------------------------
 // Server-to-client packets
 
-namespace {
-
-// Writes the 8 fixed reply bytes. Callers append up to 24 payload bytes and
-// then PadReplyTo32.
-void EncodeReplyPrefix(WireWriter& w, uint16_t seq, uint32_t extra_words, uint8_t data0 = 0) {
+size_t BeginReplyUnit(WireWriter& w, uint16_t seq, uint32_t extra_words) {
+  const size_t start = w.size();
   w.U8(kReplyPacketType);
-  w.U8(data0);
+  w.U8(0);
   w.U16(seq);
   w.U32(extra_words);
+  return start;
 }
 
-void PadReplyTo32(WireWriter& w, size_t start_offset) {
-  const size_t used = w.size() - start_offset;
+void EndReplyUnit(WireWriter& w, size_t start) {
+  const size_t used = w.size() - start;
   if (used > kReplyBaseBytes) {
     FatalError("reply payload overflows the 32-byte unit");
   }
   w.Zero(kReplyBaseBytes - used);
 }
 
-// Positions a reader past the 8 fixed bytes of a reply and validates type.
-bool OpenReply(std::span<const uint8_t> data, WireOrder order, WireReader* r) {
+bool OpenReplyUnit(std::span<const uint8_t> data, WireOrder order, WireReader* r) {
   if (data.size() < kReplyBaseBytes || data[0] != kReplyPacketType) {
     return false;
   }
@@ -491,8 +108,6 @@ bool OpenReply(std::span<const uint8_t> data, WireOrder order, WireReader* r) {
   r->Skip(8);
   return true;
 }
-
-}  // namespace
 
 void ErrorPacket::Encode(WireWriter& w) const {
   const size_t start = w.size();
@@ -503,7 +118,7 @@ void ErrorPacket::Encode(WireWriter& w) const {
   w.U8(ext);
   w.U16(0);
   w.U32(value);
-  PadReplyTo32(w, start);
+  EndReplyUnit(w, start);
 }
 
 bool ErrorPacket::Decode(std::span<const uint8_t> data, WireOrder order, ErrorPacket* out) {
@@ -533,54 +148,16 @@ bool PeekReplyHeader(std::span<const uint8_t> unit, WireOrder order, ReplyHeader
   return r.ok();
 }
 
-void GetTimeReply::Encode(WireWriter& w, uint16_t seq) const {
-  const size_t start = w.size();
-  EncodeReplyPrefix(w, seq, 0);
-  w.U32(time);
-  PadReplyTo32(w, start);
-}
-
-bool GetTimeReply::Decode(std::span<const uint8_t> data, WireOrder order, GetTimeReply* out) {
-  WireReader r({});
-  if (!OpenReply(data, order, &r)) {
-    return false;
-  }
-  out->time = r.U32();
-  return r.ok();
-}
-
-void ResyncTimeReply::Encode(WireWriter& w, uint16_t seq) const {
-  const size_t start = w.size();
-  EncodeReplyPrefix(w, seq, 0);
-  w.U32(server_time);
-  w.U32(promoted_watermark);
-  w.U32(promoted);
-  PadReplyTo32(w, start);
-}
-
-bool ResyncTimeReply::Decode(std::span<const uint8_t> data, WireOrder order,
-                             ResyncTimeReply* out) {
-  WireReader r({});
-  if (!OpenReply(data, order, &r)) {
-    return false;
-  }
-  out->server_time = r.U32();
-  out->promoted_watermark = r.U32();
-  out->promoted = r.U32();
-  return r.ok();
-}
-
 void RecordSamplesReply::Encode(WireWriter& w, uint16_t seq) const {
   EncodeTo(w, seq, time, data);
 }
 
 void RecordSamplesReply::EncodeTo(WireWriter& w, uint16_t seq, ATime time,
                                   std::span<const uint8_t> data) {
-  const size_t start = w.size();
-  EncodeReplyPrefix(w, seq, static_cast<uint32_t>(Pad4(data.size()) / 4));
+  const size_t start = BeginReplyUnit(w, seq, static_cast<uint32_t>(Pad4(data.size()) / 4));
   w.U32(time);
   w.U32(static_cast<uint32_t>(data.size()));
-  PadReplyTo32(w, start);
+  EndReplyUnit(w, start);
   w.Bytes(data);
   w.AlignPad();
 }
@@ -588,7 +165,7 @@ void RecordSamplesReply::EncodeTo(WireWriter& w, uint16_t seq, ATime time,
 bool RecordSamplesReply::Decode(std::span<const uint8_t> data, WireOrder order,
                                 RecordSamplesReply* out) {
   WireReader r({});
-  if (!OpenReply(data, order, &r)) {
+  if (!OpenReplyUnit(data, order, &r)) {
     return false;
   }
   out->time = r.U32();
@@ -601,75 +178,17 @@ bool RecordSamplesReply::Decode(std::span<const uint8_t> data, WireOrder order,
   return true;
 }
 
-void QueryPhoneReply::Encode(WireWriter& w, uint16_t seq) const {
-  const size_t start = w.size();
-  EncodeReplyPrefix(w, seq, 0);
-  w.U32(off_hook);
-  w.U32(loop_current);
-  PadReplyTo32(w, start);
-}
-
-bool QueryPhoneReply::Decode(std::span<const uint8_t> data, WireOrder order,
-                             QueryPhoneReply* out) {
-  WireReader r({});
-  if (!OpenReply(data, order, &r)) {
-    return false;
-  }
-  out->off_hook = r.U32();
-  out->loop_current = r.U32();
-  return r.ok();
-}
-
-void QueryGainReply::Encode(WireWriter& w, uint16_t seq) const {
-  const size_t start = w.size();
-  EncodeReplyPrefix(w, seq, 0);
-  w.I32(gain_db);
-  w.I32(min_db);
-  w.I32(max_db);
-  PadReplyTo32(w, start);
-}
-
-bool QueryGainReply::Decode(std::span<const uint8_t> data, WireOrder order,
-                            QueryGainReply* out) {
-  WireReader r({});
-  if (!OpenReply(data, order, &r)) {
-    return false;
-  }
-  out->gain_db = r.I32();
-  out->min_db = r.I32();
-  out->max_db = r.I32();
-  return r.ok();
-}
-
-void InternAtomReply::Encode(WireWriter& w, uint16_t seq) const {
-  const size_t start = w.size();
-  EncodeReplyPrefix(w, seq, 0);
-  w.U32(atom);
-  PadReplyTo32(w, start);
-}
-
-bool InternAtomReply::Decode(std::span<const uint8_t> data, WireOrder order,
-                             InternAtomReply* out) {
-  WireReader r({});
-  if (!OpenReply(data, order, &r)) {
-    return false;
-  }
-  out->atom = r.U32();
-  return r.ok();
-}
-
 void GetAtomNameReply::Encode(WireWriter& w, uint16_t seq) const {
-  const size_t start = w.size();
-  EncodeReplyPrefix(w, seq, static_cast<uint32_t>(Pad4(name.size()) / 4));
+  const size_t start = BeginReplyUnit(w, seq, static_cast<uint32_t>(Pad4(name.size()) / 4));
   w.U32(static_cast<uint32_t>(name.size()));
-  PadReplyTo32(w, start);
+  EndReplyUnit(w, start);
   w.PaddedString(name);
 }
 
 bool GetAtomNameReply::Decode(std::span<const uint8_t> data, WireOrder order,
                               GetAtomNameReply* out) {
   WireReader r({});
-  if (!OpenReply(data, order, &r)) {
+  if (!OpenReplyUnit(data, order, &r)) {
     return false;
   }
   const uint32_t len = r.U32();
@@ -681,13 +200,12 @@ bool GetAtomNameReply::Decode(std::span<const uint8_t> data, WireOrder order,
 }
 
 void GetPropertyReply::Encode(WireWriter& w, uint16_t seq) const {
-  const size_t start = w.size();
-  EncodeReplyPrefix(w, seq, static_cast<uint32_t>(Pad4(data.size()) / 4));
+  const size_t start = BeginReplyUnit(w, seq, static_cast<uint32_t>(Pad4(data.size()) / 4));
   w.U32(type);
   w.U32(format);
   w.U32(bytes_after);
   w.U32(static_cast<uint32_t>(data.size()));
-  PadReplyTo32(w, start);
+  EndReplyUnit(w, start);
   w.Bytes(data);
   w.AlignPad();
 }
@@ -695,7 +213,7 @@ void GetPropertyReply::Encode(WireWriter& w, uint16_t seq) const {
 bool GetPropertyReply::Decode(std::span<const uint8_t> data, WireOrder order,
                               GetPropertyReply* out) {
   WireReader r({});
-  if (!OpenReply(data, order, &r)) {
+  if (!OpenReplyUnit(data, order, &r)) {
     return false;
   }
   out->type = r.U32();
@@ -710,10 +228,9 @@ bool GetPropertyReply::Decode(std::span<const uint8_t> data, WireOrder order,
 }
 
 void ListPropertiesReply::Encode(WireWriter& w, uint16_t seq) const {
-  const size_t start = w.size();
-  EncodeReplyPrefix(w, seq, static_cast<uint32_t>(atoms.size()));
+  const size_t start = BeginReplyUnit(w, seq, static_cast<uint32_t>(atoms.size()));
   w.U32(static_cast<uint32_t>(atoms.size()));
-  PadReplyTo32(w, start);
+  EndReplyUnit(w, start);
   for (Atom a : atoms) {
     w.U32(a);
   }
@@ -722,7 +239,7 @@ void ListPropertiesReply::Encode(WireWriter& w, uint16_t seq) const {
 bool ListPropertiesReply::Decode(std::span<const uint8_t> data, WireOrder order,
                                  ListPropertiesReply* out) {
   WireReader r({});
-  if (!OpenReply(data, order, &r)) {
+  if (!OpenReplyUnit(data, order, &r)) {
     return false;
   }
   const uint32_t count = r.U32();
@@ -745,18 +262,17 @@ void ListHostsReply::Encode(WireWriter& w, uint16_t seq) const {
     extra.Bytes(h.address);
     extra.AlignPad();
   }
-  const size_t start = w.size();
-  EncodeReplyPrefix(w, seq, static_cast<uint32_t>(extra.size() / 4));
+  const size_t start = BeginReplyUnit(w, seq, static_cast<uint32_t>(extra.size() / 4));
   w.U32(enabled);
   w.U32(static_cast<uint32_t>(hosts.size()));
-  PadReplyTo32(w, start);
+  EndReplyUnit(w, start);
   w.Bytes(extra.data());
 }
 
 bool ListHostsReply::Decode(std::span<const uint8_t> data, WireOrder order,
                             ListHostsReply* out) {
   WireReader r({});
-  if (!OpenReply(data, order, &r)) {
+  if (!OpenReplyUnit(data, order, &r)) {
     return false;
   }
   out->enabled = r.U32();
@@ -780,18 +296,6 @@ bool ListHostsReply::Decode(std::span<const uint8_t> data, WireOrder order,
     out->hosts.push_back(std::move(h));
   }
   return true;
-}
-
-void EmptyReply::Encode(WireWriter& w, uint16_t seq) const {
-  const size_t start = w.size();
-  EncodeReplyPrefix(w, seq, 0);
-  PadReplyTo32(w, start);
-}
-
-bool EmptyReply::Decode(std::span<const uint8_t> data, WireOrder order, EmptyReply* out) {
-  (void)out;
-  WireReader r({});
-  return OpenReply(data, order, &r);
 }
 
 }  // namespace af

@@ -1,4 +1,5 @@
-// GetTrace: the wire form of the server's event-trace ring.
+// GetTrace: the wire form of the server's event-trace ring (the request
+// body, GetTraceReq, is in proto/requests.h with the others).
 //
 // Same versioning rule as GetServerStats (proto/stats.h): the event array
 // is count-prefixed, and each event additionally carries its on-wire size
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/trace.h"
+#include "proto/requests.h"
 #include "proto/wire.h"
 
 namespace af {
@@ -29,18 +31,6 @@ constexpr uint32_t kTraceWireVersion = 1;
 // appended fields left zero.
 constexpr uint32_t kTraceEventWireBytes = 56;
 constexpr uint32_t kTraceEventWireBytesV1 = 40;
-
-// GetTrace request flags. Enable applies before the drain, disable after,
-// so enable|disable captures exactly one window.
-constexpr uint32_t kTraceFlagEnable = 1u << 0;
-constexpr uint32_t kTraceFlagDisable = 1u << 1;
-
-struct GetTraceReq {
-  uint32_t flags = 0;
-
-  void Encode(WireWriter& w) const;
-  static bool Decode(WireReader& r, GetTraceReq* out);
-};
 
 struct TraceWire {
   uint32_t version = kTraceWireVersion;

@@ -40,67 +40,24 @@ std::optional<uint32_t> BodyWord(std::span<const uint8_t> body, WireOrder order,
 
 uint32_t Shard::RouteTarget(Opcode op, std::span<const uint8_t> body, WireOrder order,
                             ClientConn& client) const {
-  switch (op) {
-    // AC-bound: route to the shard holding the ServerAC (the AC's device's
-    // owner, recorded in the client's acs() map at CreateAC time). Unknown
-    // ids stay local so the ordinary path reports BadAC.
-    case Opcode::kChangeACAttributes:
-    case Opcode::kFreeAC:
-    case Opcode::kPlaySamples:
-    case Opcode::kRecordSamples: {
-      const std::optional<uint32_t> ac = BodyWord(body, order, 0);
-      if (!ac.has_value()) {
-        return index_;
-      }
-      const auto it = client.acs().find(*ac);
-      return it == client.acs().end() ? index_ : it->second;
-    }
-
-    // CreateAC leads with the new AC id; the device is the second word.
-    case Opcode::kCreateAC: {
-      const std::optional<uint32_t> dev = BodyWord(body, order, 1);
-      if (!dev.has_value() || *dev >= devices_.size()) {
-        return index_;  // BadLength / BadDevice reported locally
-      }
-      return server_.device_owner(*dev);
-    }
-
-    // Device-bound: every one of these leads with the device id
-    // (PassThrough routes by device_a; the handler rejects cross-shard
-    // pairs). Invalid ids stay local for the ordinary error path.
-    case Opcode::kGetTime:
-    case Opcode::kResyncTime:
-    case Opcode::kQueryPhone:
-    case Opcode::kEnablePassThrough:
-    case Opcode::kDisablePassThrough:
-    case Opcode::kHookSwitch:
-    case Opcode::kFlashHook:
-    case Opcode::kEnableGainControl:
-    case Opcode::kDisableGainControl:
-    case Opcode::kSetInputGain:
-    case Opcode::kSetOutputGain:
-    case Opcode::kQueryInputGain:
-    case Opcode::kQueryOutputGain:
-    case Opcode::kEnableInput:
-    case Opcode::kEnableOutput:
-    case Opcode::kDisableInput:
-    case Opcode::kDisableOutput:
-    case Opcode::kChangeProperty:
-    case Opcode::kDeleteProperty:
-    case Opcode::kGetProperty:
-    case Opcode::kListProperties: {
-      const std::optional<uint32_t> dev = BodyWord(body, order, 0);
-      if (!dev.has_value() || *dev >= devices_.size()) {
-        return index_;
-      }
-      return server_.device_owner(*dev);
-    }
-
-    // Everything else (events selection, atoms, hosts, stats, trace,
-    // no-ops) is client- or server-global state and executes at home.
-    default:
-      return index_;
+  const Route route = OpcodeRoute(op);
+  if (route == Route::kHome) {
+    return index_;
   }
+  const std::optional<uint32_t> id =
+      BodyWord(body, order, route == Route::kDeviceWord1 ? 1 : 0);
+  if (!id.has_value()) {
+    return index_;  // BadLength reported locally
+  }
+  if (route == Route::kACWord0) {
+    // The shard holding the ServerAC (the AC's device's owner, recorded in
+    // the client's acs() map at CreateAC time). Unknown ids stay local so
+    // the ordinary path reports BadAC.
+    const auto it = client.acs().find(*id);
+    return it == client.acs().end() ? index_ : it->second;
+  }
+  // Invalid device ids stay local for the ordinary BadDevice path.
+  return *id < devices_.size() ? server_.device_owner(*id) : index_;
 }
 
 void Shard::SendError(ClientConn& client, AfError code, Opcode opcode, uint32_t value) {

@@ -170,6 +170,43 @@ TEST_F(ClientApiTest, AfterFunctionRunsPerRequest) {
   conn_->SetAfterFunction(nullptr);
 }
 
+TEST_F(ClientApiTest, AfterFunctionThatSyncsKeepsEveryReply) {
+  // Regression: the after-function runs before the caller awaits its
+  // reply, and a Sync there read past that reply and dropped it, so every
+  // round trip hung. Replies (and errors) a later AwaitReply will ask for
+  // are now held for it. A hang cannot fail an assertion; the alarm ends
+  // the process instead.
+  std::vector<ErrorPacket> errors;
+  conn_->SetErrorHandler(
+      [&errors](AFAudioConn&, const ErrorPacket& e) { errors.push_back(e); });
+  int calls = 0;
+  conn_->SetAfterFunction([&calls](AFAudioConn& c) {
+    ++calls;
+    c.Sync();
+  });
+  alarm(10);
+  auto t = conn_->GetTime(0);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  auto ac = conn_->CreateAC(0, 0, ACAttributes{});
+  ASSERT_TRUE(ac.ok());
+  // Three chunks each way: the after-function's Sync reads the record
+  // window's replies before the record awaits them.
+  const std::vector<uint8_t> tone(kDefaultChunkBytes * 5 / 2, 0x55);
+  auto played = ac.value()->PlaySamples(t.value(), tone);
+  ASSERT_TRUE(played.ok()) << played.status().ToString();
+  runner_->manual_clock()->Advance(tone.size());
+  std::vector<uint8_t> heard(tone.size());
+  auto rec = ac.value()->RecordSamples(t.value(), heard, /*block=*/false);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec.value().actual_bytes, heard.size());
+  // A held error still goes to the caller that awaits it.
+  EXPECT_EQ(conn_->GetTime(99).status().code(), AfError::kBadDevice);
+  alarm(0);
+  EXPECT_TRUE(errors.empty());
+  EXPECT_GE(calls, 8);  // GetTime, CreateAC, 3 play chunks, 3 record chunks
+  conn_->SetAfterFunction(nullptr);
+}
+
 TEST_F(ClientApiTest, ServerSurvivesClientVanishingWhileSuspended) {
   // A client disconnects while its blocking record is suspended in the
   // server; the resume task must find it gone and everyone else lives on.

@@ -49,6 +49,43 @@ TEST(DecodeRequestTest, KnownBodiesRenderTheirFields) {
   EXPECT_TRUE(Contains(DecodeRequestLine(trace, HostWireOrder()), "flags=0x0"));
 }
 
+// Collects the field names a Fields list declares, nested ones included.
+struct FieldNames {
+  std::vector<std::string> names;
+  template <typename T>
+  void Word(const char* name, T&, Show = Show::kDec) {
+    names.push_back(name);
+  }
+  template <typename A>
+  void Attrs(const char* name, A& a) {
+    names.push_back(name);
+    a.Fields(*this);
+  }
+  template <typename C>
+  void Blob(const char* name, C&) {
+    names.push_back(name);
+  }
+  void Samples(const char* name, uint32_t, std::span<const uint8_t>) { names.push_back(name); }
+};
+
+TEST(DecodeRequestTest, EveryDeclaredFieldIsPrinted) {
+  // The printer walks the same Fields list as the codec, so a field the
+  // list declares cannot be missing from the line.
+  for (uint8_t opi = kMinOpcode; opi <= kMaxOpcode; ++opi) {
+    const Opcode op = static_cast<Opcode>(opi);
+    const std::string line = DecodeRequestLine(CanonicalRequest(op), HostWireOrder());
+    const bool known = VisitRequestBody(op, [&](auto body) {
+      FieldNames fields;
+      body.Fields(fields);
+      for (const std::string& name : fields.names) {
+        EXPECT_TRUE(Contains(line, name + "="))
+            << "opcode " << int(opi) << " lacks " << name << ": " << line;
+      }
+    });
+    EXPECT_TRUE(known) << "opcode " << int(opi) << " is not in the opcode table";
+  }
+}
+
 TEST(DecodeRequestTest, TruncationAtEveryByteNeverCrashes) {
   for (uint8_t opi = kMinOpcode; opi <= kMaxOpcode; ++opi) {
     const auto req = CanonicalRequest(static_cast<Opcode>(opi));

@@ -730,6 +730,50 @@ TEST_F(FailoverTortureTest, PipelinedRecordSurvivesCutAfterAnyChunkReply) {
   EXPECT_TRUE(io_error);
 }
 
+TEST_F(FailoverTortureTest, PlayAwaitedAcrossHealCarriesTheReplayedAC) {
+  // The read side dies right after setup, so the play's time reply is
+  // awaited across the heal and the heal reissues the play's final chunk.
+  // The session replay gave the AC a new id; the reissued chunk must carry
+  // it, not the dead connection's id (which the server answers BadAC).
+  const size_t setup_bytes = SetupReplyBytes(*runner_);
+  for (const size_t chunks : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("chunks=" + std::to_string(chunks));
+    auto faults = std::make_shared<FaultSchedule>();
+    faults->CutReadAt(setup_bytes);
+    auto opened = runner_->ConnectInProcess(faults);
+    ASSERT_TRUE(opened.ok());
+    auto victim = opened.take();
+    size_t async_errors = 0;
+    victim->SetErrorHandler([&](AFAudioConn&, const ErrorPacket&) { ++async_errors; });
+    bool io_error = false;
+    victim->SetIOErrorHandler([&](AFAudioConn&) { io_error = true; });
+    AFAudioConn::ReconnectPolicy policy;
+    policy.enabled = true;
+    policy.backoff_ms = 1;
+    victim->SetReconnectPolicy(policy);
+    victim->SetReconnectFactory(AdoptInto(runner_.get()));
+    auto ac = victim->CreateAC(0, 0, ACAttributes{});
+    ASSERT_TRUE(ac.ok());
+    const ACId old_id = ac.value()->id();
+    auto now = bystander_->GetTime(0);
+    ASSERT_TRUE(now.ok());
+
+    const std::vector<uint8_t> tone(chunks * kDefaultChunkBytes - 100, 0x55);
+    alarm(20);
+    auto played = ac.value()->PlaySamples(now.value(), tone);
+    alarm(0);
+    ASSERT_TRUE(played.ok()) << played.status().ToString();
+    EXPECT_EQ(victim->reconnects(), 1u);
+    EXPECT_NE(ac.value()->id(), old_id);
+    EXPECT_FALSE(io_error);
+    // The healed connection is in step, and nothing failed asynchronously.
+    auto t = victim->GetTime(0);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    EXPECT_EQ(t.value(), played.value());
+    EXPECT_EQ(async_errors, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Kills in every reconnect-machine state
 
