@@ -122,6 +122,7 @@ bool RunBridge(size_t parties, int shards, size_t blocks, BridgeRun* out) {
   }
   out->play = StatsFromSamples(samples);
 
+  runner->SettleShards();  // the mailbox columns must balance
   auto probe = runner->ConnectInProcess();
   if (!probe.ok()) {
     std::fprintf(stderr, "bench_bridge: probe connect failed: %s\n",

@@ -37,6 +37,28 @@ echo "== sharding suite =="
 # backends, so every fault and fuzz walk also crosses shard boundaries.
 ctest --test-dir build -L shard --output-on-failure
 
+echo "== sharding stress: four parallel 100x runs of the 4-shard server tests =="
+# Cross-shard races that need a loaded host (a borrow's hand-back racing
+# the reply the owner already wrote, a trace window opening before every
+# ring is drained) pass a lone run nearly always; four concurrent repeat
+# runs contend for the CPUs and make them fail here instead of now and
+# then.
+STRESS_PIDS=""
+for i in 1 2 3 4; do
+    ./build/tests/shard_test --gtest_filter='ShardServerTest.*' \
+        --gtest_repeat=100 >"build/shard_stress_$i.log" 2>&1 &
+    STRESS_PIDS="$STRESS_PIDS $!"
+done
+STRESS_FAILED=0
+for pid in $STRESS_PIDS; do
+    wait "$pid" || STRESS_FAILED=1
+done
+if [ "$STRESS_FAILED" -ne 0 ]; then
+    grep -h -B3 -A8 'Failure' build/shard_stress_*.log >&2 || true
+    echo "sharding stress: a shard_test repeat run failed" >&2
+    exit 1
+fi
+
 echo "== conference-bridge suite =="
 # bridge_test (fused gain+mix kernels, shared-device fan-in goldens, DTMF
 # arbitration, the abridge core end to end, kill-a-party torture) plain,

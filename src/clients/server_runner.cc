@@ -131,4 +131,20 @@ void ServerRunner::RunOnLoop(std::function<void()> fn) {
   future.wait();
 }
 
+void ServerRunner::SettleShards() {
+  // Round 1 lets every shard finish the loop turn it was in, so every
+  // hand-back from before the call has been posted. A loop turn drains
+  // the mailbox first, and a shard runs each batch of posted functions
+  // once per turn: round 3's function therefore runs in a turn that
+  // started after round 2's function ran, so after every such post.
+  for (int round = 0; round < 3; ++round) {
+    for (uint32_t s = 0; s < server_->num_shards(); ++s) {
+      std::promise<void> done;
+      std::future<void> future = done.get_future();
+      server_->PostToShard(s, [&done] { done.set_value(); });
+      future.wait();
+    }
+  }
+}
+
 }  // namespace af

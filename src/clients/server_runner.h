@@ -75,6 +75,12 @@ class ServerRunner {
 
   // Runs fn on the server loop thread and waits for it to finish.
   void RunOnLoop(std::function<void()> fn);
+  // Returns once every cross-shard message posted before the call has been
+  // drained. A client holding its last reply does not imply that: the
+  // owner shard writes a forwarded request's reply before it mails the
+  // connection home. Call it before reading mailbox counters that must
+  // balance. Every shard must be running.
+  void SettleShards();
 
  private:
   ServerRunner() = default;

@@ -127,8 +127,10 @@ class ClientConn {
   //
   // While a request executes on another shard the connection is "borrowed":
   // the home shard freezes it (no reads, no dispatch, no flush, no event
-  // encoding) so the executing shard has exclusive use of the buffers. The
-  // mailbox's release/acquire handoff orders the two shards' accesses.
+  // encoding) so the executing shard has exclusive use of the buffers and
+  // the socket. The executor flushes the reply itself, then posts the
+  // connection home and never touches it again. The mailbox's
+  // release/acquire handoff orders the two shards' accesses.
 
   bool borrowed() const { return borrowed_; }
   // Home side, just before posting the request to `executor`. corr is the
@@ -146,13 +148,21 @@ class ClientConn {
   struct RemoteOp {
     uint8_t opcode = 0;
     uint64_t t0_us = 0;
+    uint64_t end_us = 0;
     uint64_t bytes = 0;
     uint64_t corr = 0;
   };
+  // When the request completed: on the executor, just before it writes the
+  // reply; for a gathered reply, on the home as the reply is encoded.
+  void MarkRemoteDone(uint64_t end_us) { remote_end_us_ = end_us; }
+  RemoteOp remote_op() const {
+    return RemoteOp{remote_opcode_, remote_t0_us_, remote_end_us_, remote_bytes_,
+                    remote_corr_};
+  }
   // Home side, when the completion message arrives; unfreezes.
   RemoteOp EndRemote() {
     borrowed_ = false;
-    return RemoteOp{remote_opcode_, remote_t0_us_, remote_bytes_, remote_corr_};
+    return remote_op();
   }
   // Executor side: which shard to send the completion to.
   uint32_t borrow_home() const { return borrow_home_; }
@@ -212,6 +222,7 @@ class ClientConn {
   bool borrowed_ = false;
   uint8_t remote_opcode_ = 0;
   uint64_t remote_t0_us_ = 0;
+  uint64_t remote_end_us_ = 0;
   uint64_t remote_bytes_ = 0;
   uint64_t remote_corr_ = 0;
   uint32_t borrow_home_ = 0;

@@ -53,6 +53,23 @@ uint64_t RequestCorr(const RequestHeader& header, std::span<const uint8_t> reque
   return tail.U64();
 }
 
+uint64_t RemoteOpMicros(const ClientConn::RemoteOp& op) {
+  return op.end_us > op.t0_us ? op.end_us - op.t0_us : 0;
+}
+
+// Ends a borrowed request now: stamps its completion and charges its
+// service time, from the home's dispatch on, to the home shard's op
+// metrics - the latency the client observed. Metrics are atomics, so the
+// executor may do this from its own thread.
+void EndRemoteRequest(ClientConn& client, ServerMetrics& home_metrics) {
+  client.MarkRemoteDone(HostMicros());
+  const ClientConn::RemoteOp op = client.remote_op();
+  if (op.opcode >= kMinOpcode && op.opcode <= kMaxOpcode) {
+    home_metrics.op_count[op.opcode].Add();
+    home_metrics.op_micros[op.opcode].Record(RemoteOpMicros(op));
+  }
+}
+
 }  // namespace
 
 void AFServer::RequestStatsDump() {
@@ -528,8 +545,9 @@ void Shard::ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client) {
     }
     if (client->borrowed()) {
       // The request now executes on another shard (the executor works from
-      // a copy of the body; in_ stays home-owned). Service time, the trace
-      // span, and output staging are recorded when the connection returns.
+      // a copy of the body; in_ stays home-owned). The executor charges the
+      // service time and writes the reply; the trace span is recorded here
+      // when the connection returns.
       client->Consume(total);
       return;
     }
@@ -834,30 +852,32 @@ void Shard::CompleteForwarded(const std::shared_ptr<ClientConn>& client) {
   borrowed_.erase(client->fd());
   const uint32_t home = client->borrow_home();
   Shard* h = server_.shards_[home].get();
-  SendToShard(home, [h, client] { h->FinishForwarded(client); });
-}
-
-void Shard::FinishForwarded(const std::shared_ptr<ClientConn>& client) {
-  FinishBorrowTail(client);
+  // This shard still has exclusive use of the connection, so it writes the
+  // reply itself: the client's round trip does not wait for the return hop.
+  // The request ends before the writev, so a stats fetch sent after this
+  // reply already counts it.
+  EndRemoteRequest(*client, h->metrics_);
+  // A short write leaves the rest in the egress chain for the home's
+  // writable interest; a failed one (peer gone) fails again in the home's
+  // flush/reap sweep, which reaps the connection.
+  client->FlushOutput();
+  // The post publishes the connection; nothing here touches it afterwards.
+  SendToShard(home, [h, client] { h->FinishBorrowTail(client); });
 }
 
 void Shard::FinishBorrowTail(const std::shared_ptr<ClientConn>& client) {
   const ClientConn::RemoteOp op = client->EndRemote();
-  const uint64_t now_us = HostMicros();
-  const uint64_t dur_us = now_us > op.t0_us ? now_us - op.t0_us : 0;
-  if (op.opcode >= kMinOpcode && op.opcode <= kMaxOpcode) {
-    metrics_.op_count[op.opcode].Add();
-    // Recorded at the home shard and inclusive of the mailbox round trip:
-    // this is the latency the client observed.
-    metrics_.op_micros[op.opcode].Record(dur_us);
-  }
   if (trace_->enabled()) {
+    // The dispatch span belongs on this (home) shard's ring, which only
+    // this thread writes; it ends where the request completed. Nothing
+    // behind the borrow on this connection has been served yet, so a
+    // trace window the client closes next still finds it.
     TraceEvent ev;
     ev.kind = static_cast<uint8_t>(TraceKind::kRequest);
     ev.arg = op.opcode;
     ev.conn = client->client_number();
     ev.host_us = op.t0_us;
-    ev.dur_us = static_cast<uint32_t>(dur_us);
+    ev.dur_us = static_cast<uint32_t>(RemoteOpMicros(op));
     ev.value = op.bytes;
     ev.corr = op.corr;
     trace_->Record(ev);
@@ -884,11 +904,6 @@ void Shard::FinishBorrowTail(const std::shared_ptr<ClientConn>& client) {
 void Shard::StartTraceGather(const std::shared_ptr<ClientConn>& client,
                              uint32_t flags) {
   const size_t n = server_.num_shards();
-  if (flags & kTraceFlagEnable) {
-    for (size_t s = 0; s < n; ++s) {
-      server_.shards_[s]->trace().Enable(true);
-    }
-  }
   SyncClientFaultMetrics();
   TraceGather g;
   g.client = client;
@@ -931,10 +946,19 @@ void Shard::FinishTraceGather(uint32_t token, std::vector<TraceEvent>& events,
   if (--g.remaining > 0) {
     return;
   }
-  if (g.flags & kTraceFlagDisable) {
+  // The gate flips only after every ring has been drained: flipped
+  // before, a shard could open the new window ahead of its drain and hand
+  // the window's kTraceStart stamp to this reply instead of the next one.
+  const auto enable_all = [this](bool on) {
     for (size_t s = 0; s < server_.num_shards(); ++s) {
-      server_.shards_[s]->trace().Enable(false);
+      server_.shards_[s]->trace().Enable(on);
     }
+  };
+  if (g.flags & kTraceFlagEnable) {
+    enable_all(true);
+  }
+  if (g.flags & kTraceFlagDisable) {
+    enable_all(false);
   }
   // One timeline: interleave the per-shard windows by host timestamp.
   std::stable_sort(g.events.begin(), g.events.end(),
@@ -950,6 +974,7 @@ void Shard::FinishTraceGather(uint32_t token, std::vector<TraceEvent>& events,
   const std::shared_ptr<ClientConn> client = std::move(g.client);
   trace_gathers_.erase(it);
   wire.Encode(client->out(), client->seq());
+  EndRemoteRequest(*client, metrics_);
   FinishBorrowTail(client);
 }
 

@@ -20,10 +20,12 @@
 // shard freezes the connection (ClientConn::BeginRemote) and mails the
 // request plus the connection to the device's owner, which runs the
 // ordinary dispatch path against it - including suspension for would-block
-// plays - and mails the connection back when the reply bytes are staged.
-// The mailbox's release/acquire handoff is the only synchronization the
-// connection state needs. Events raised while a connection is borrowed
-// park at home and encode after it returns.
+// plays. The owner then writes the reply to the socket itself, as the
+// paper's loop does in the turn that executes a request, and only then
+// mails the connection back; the home unfreezes it, encodes the events
+// parked while it was away and serves its backlog, off the client's
+// critical path. The mailbox's release/acquire handoff is the only
+// synchronization the connection state needs.
 #ifndef AF_SERVER_SHARD_H_
 #define AF_SERVER_SHARD_H_
 
@@ -161,10 +163,11 @@ class Shard {
   void ExecuteForwarded(const std::shared_ptr<ClientConn>& client,
                         const RequestHeader& header, const std::vector<uint8_t>& body,
                         uint64_t corr, uint64_t post_us);
+  // Executor side, once the request is done: stamps it, charges its op
+  // metrics, flushes the reply, then posts the connection home.
   void CompleteForwarded(const std::shared_ptr<ClientConn>& client);
-  void FinishForwarded(const std::shared_ptr<ClientConn>& client);
-  // Tail shared by every borrow completion: op metrics + request trace,
-  // stage, deliver parked events, resume the client's backlog.
+  // Home side, shared by every borrow completion: unfreeze, request trace
+  // span, stage, deliver parked events, resume the client's backlog.
   void FinishBorrowTail(const std::shared_ptr<ClientConn>& client);
   void DeliverEventLocal(const AEvent& event);
   // Frees AC entries owned here on behalf of a client reaped elsewhere.

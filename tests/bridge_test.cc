@@ -608,6 +608,7 @@ TEST(BridgeEndToEndTest, CrossShardFanInLosesNothing) {
   EXPECT_EQ(bridged.value().blocks_played, 96u);  // 8 parties x 12 blocks
   EXPECT_EQ(bridged.value().fleet_plays, 24u);
 
+  runner->SettleShards();
   auto probe = runner->ConnectInProcess();
   ASSERT_TRUE(probe.ok());
   auto stats = probe.value()->GetServerStats();
@@ -722,6 +723,7 @@ TEST(BridgeEndToEndTest, KillOnePartyMidMixSurvivorsKeepTheConference) {
     EXPECT_TRUE(victim_died) << "cut at byte " << cut_at << " never landed";
     EXPECT_EQ(survivor_plays, (kParties - 1) * kBlocks);
 
+    runner->SettleShards();
     auto probe = runner->ConnectInProcess();
     ASSERT_TRUE(probe.ok());
     auto stats = probe.value()->GetServerStats();

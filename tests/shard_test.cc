@@ -13,9 +13,13 @@
 // every request to the shard-0-owned CODEC crosses a shard boundary:
 // dispatch via the borrow protocol, events fanning out across shards,
 // faults on a borrowed connection, kill/restart of a shard thread, and
-// stats/trace aggregation at reply time.
+// stats/trace aggregation at reply time. The executor-egress tests pin
+// that the owner shard writes a forwarded request's reply itself: wire
+// order against a one-shard server, short and stalled writes, a peer that
+// leaves mid-borrow, and the flush instant's shard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <cstdint>
@@ -28,11 +32,15 @@
 
 #include "client/audio_context.h"
 #include "client/connection.h"
+#include "common/clock.h"
+#include "devices/sim_hw.h"
+#include "dsp/g711.h"
 #include "clients/server_runner.h"
 #include "proto/stats.h"
 #include "proto/trace_wire.h"
 #include "server/mailbox.h"
 #include "server/shard.h"
+#include "torture_util.h"
 #include "transport/fault_stream.h"
 #include "transport/stream.h"
 
@@ -405,6 +413,246 @@ TEST_F(ShardServerTest, TraceWindowsShareOneGeneration) {
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second.begin()->first, first.begin()->first + 2);
   EXPECT_EQ(second.begin()->second.size(), 4u);
+}
+
+
+// --- executor-side egress ----------------------------------------------------
+
+// One server-to-client packet as it arrived: the type byte (0 error,
+// 1 reply, event types from 2) and the sequence number.
+struct Packet {
+  uint8_t type = 0;
+  uint16_t seq = 0;
+  bool operator==(const Packet&) const = default;
+};
+
+// Opens a raw connection pinned to `shard`, sends `requests` in one write
+// and reads back `count` packets.
+std::vector<Packet> RawExchange(ServerRunner& runner, uint32_t shard,
+                                const std::vector<uint8_t>& requests, size_t count) {
+  std::vector<Packet> got;
+  auto pair = CreateStreamPair();
+  if (!pair.ok()) {
+    ADD_FAILURE() << pair.status().ToString();
+    return got;
+  }
+  auto& [client_end, server_end] = pair.value();
+  runner.server().AdoptClientOnShard(std::move(server_end), nullptr, {}, shard);
+  if (!torture::RawSetup(client_end) ||
+      !client_end.WriteAll(requests.data(), requests.size()).ok()) {
+    ADD_FAILURE() << "raw connection failed";
+    return got;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    uint8_t unit[kReplyBaseBytes];
+    if (!client_end.ReadAll(unit, sizeof(unit)).ok()) {
+      ADD_FAILURE() << "connection ended after " << i << " packets";
+      break;
+    }
+    WireReader r(unit, HostWireOrder());
+    Packet p;
+    p.type = r.U8();
+    r.Skip(1);
+    p.seq = r.U16();
+    got.push_back(p);
+    ReplyHeader header;
+    if (PeekReplyHeader(unit, HostWireOrder(), &header) && header.extra_words > 0) {
+      std::vector<uint8_t> tail(header.extra_words * 4u);
+      if (!client_end.ReadAll(tail.data(), tail.size()).ok()) {
+        ADD_FAILURE() << "reply tail cut short";
+        break;
+      }
+    }
+  }
+  return got;
+}
+
+template <typename Req>
+void AppendRequest(WireWriter& w, Opcode op, const Req& req) {
+  const size_t header = BeginRequest(w, op);
+  req.Encode(w);
+  EndRequest(w, header);
+}
+
+TEST_F(ShardServerTest, ForwardedReplyThenParkedEventKeepOneShardWireOrder) {
+  // Pipelined in one write: select property events on device 0, a GetTime
+  // (a reply), a property change (an event, raised on the device owner
+  // while the connection is lent to it) and a sync (a reply). From a
+  // shard-1 client both device requests run on shard 0, which writes the
+  // GetTime reply itself; the event parks at home and follows on return.
+  WireWriter w(HostWireOrder());
+  SelectEventsReq select;
+  select.device = 0;
+  select.mask = kPropertyChangeMask;
+  AppendRequest(w, Opcode::kSelectEvents, select);
+  GetTimeReq get_time;
+  get_time.device = 0;
+  AppendRequest(w, Opcode::kGetTime, get_time);
+  ChangePropertyReq change;
+  change.device = 0;
+  change.property = kAtomLAST_NUMBER_DIALED;
+  change.type = kAtomSTRING;
+  change.data = {'e', 'g', 'r', 'e', 's', 's'};
+  AppendRequest(w, Opcode::kChangeProperty, change);
+  AppendRequest(w, Opcode::kSyncConnection, EmptyReq{});
+  const std::vector<uint8_t> requests = w.Take();
+
+  const std::vector<Packet> sharded = RawExchange(*runner_, 1, requests, 3);
+  const std::vector<Packet> expected = {
+      {kReplyPacketType, 2},
+      {static_cast<uint8_t>(EventType::kPropertyChange), 3},
+      {kReplyPacketType, 4},
+  };
+  EXPECT_EQ(sharded, expected);
+
+  ServerRunner::Config config;
+  config.realtime = false;
+  config.server.num_shards = 1;
+  auto single = ServerRunner::Start(std::move(config));
+  ASSERT_NE(single, nullptr);
+  EXPECT_EQ(RawExchange(*single, 0, requests, 3), sharded)
+      << "the sharded server's packets differ from a one-shard server's";
+}
+
+TEST_F(ShardServerTest, ExecutorEgressSurvivesShortAndStalledWrites) {
+  // The shard-1 client's replies leave at most 7 bytes per write, with
+  // would-block stalls scattered through them: most 8 KB record replies
+  // cannot finish in the executor's flush, and the home's writable path
+  // must drain the rest in order after the connection returns.
+  auto source = std::make_shared<BufferSource>(1 << 15, 1, kMulawSilence);
+  runner_->RunOnLoop([&] { runner_->codec()->sim().SetSource(source); });
+  auto faults = std::make_shared<FaultSchedule>();
+  faults->SetMaxWriteChunk(7);
+  for (const uint64_t at : {300u, 5000u, 9000u, 17000u, 26000u, 41000u}) {
+    faults->WouldBlockWriteAt(at, 3);
+  }
+  auto conn = ConnectOnShard(1, faults);
+  ASSERT_NE(conn, nullptr);
+  const DeviceId dev = runner_->codec_id();
+  auto ac = conn->CreateAC(dev, 0, ACAttributes{});
+  ASSERT_TRUE(ac.ok());
+
+  // Three chunks of distinct audio, recorded into the device's past.
+  auto now = conn->GetTime(dev);
+  ASSERT_TRUE(now.ok());
+  ASSERT_TRUE(ac.value()->RecordSamples(now.value(), {}, /*block=*/false).ok());
+  std::vector<uint8_t> audio(3 * kDefaultChunkBytes);
+  for (size_t i = 0; i < audio.size(); ++i) {
+    audio[i] = static_cast<uint8_t>((i % 251) ^ (i >> 8));
+  }
+  constexpr ATime kStep = 512;
+  const ATime start = now.value() + kStep;
+  const ATime end = start + static_cast<ATime>(audio.size());
+  runner_->RunOnLoop([&] { source->PutAt(start, audio); });
+  for (ATime t = now.value(); TimeBefore(t, end);) {
+    const ATime step = std::min<ATime>(kStep, end - t);
+    runner_->manual_clock()->Advance(step);
+    runner_->RunOnLoop([&] { runner_->codec()->Update(); });
+    t += step;
+  }
+
+  for (size_t i = 0; i < 3; ++i) {
+    std::vector<uint8_t> heard(kDefaultChunkBytes);
+    auto rec = ac.value()->RecordSamples(
+        start + static_cast<ATime>(i * kDefaultChunkBytes), heard, /*block=*/false);
+    ASSERT_TRUE(rec.ok()) << "chunk " << i << ": " << rec.status().ToString();
+    EXPECT_EQ(rec.value().actual_bytes, heard.size()) << "chunk " << i;
+    EXPECT_EQ(rec.value().time, end) << "chunk " << i;
+    EXPECT_TRUE(std::equal(heard.begin(), heard.end(),
+                           audio.begin() + static_cast<long>(i * kDefaultChunkBytes)))
+        << "chunk " << i;
+    auto t = conn->GetTime(dev);
+    ASSERT_TRUE(t.ok()) << "chunk " << i;
+    EXPECT_EQ(t.value(), end) << "chunk " << i;
+  }
+  // All three again as one pipelined record: later chunks' replies queue
+  // behind the unfinished ones in the egress chain.
+  std::vector<uint8_t> heard(audio.size());
+  auto rec = ac.value()->RecordSamples(start, heard, /*block=*/false);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec.value().actual_bytes, audio.size());
+  EXPECT_EQ(heard, audio);
+  auto t = conn->GetTime(dev);
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t.value(), end);
+
+  const std::string applied = faults->TraceString();
+  EXPECT_NE(applied.find("wouldblock"), std::string::npos) << applied;
+}
+
+TEST_F(ShardServerTest, ClientLeavingDuringForwardedSuspendedPlayIsReaped) {
+  // A shard-1 client's play blocks on shard 0 (it starts past the end of
+  // the play buffer) and the client closes meanwhile. When the play
+  // resumes, shard 0's reply write finds the peer gone; the home must
+  // reap the connection once it returns.
+  auto conn = ConnectOnShard(1);
+  ASSERT_NE(conn, nullptr);
+  conn->SetIOErrorHandler([](AFAudioConn&) {});  // no exit
+  const DeviceId dev = runner_->codec_id();
+  auto ac = conn->CreateAC(dev, 0, ACAttributes{});
+  ASSERT_TRUE(ac.ok());
+  auto now = conn->GetTime(dev);
+  ASSERT_TRUE(now.ok());
+  const ATime window = conn->devices()[dev].play_buffer_samples;
+  const std::vector<uint8_t> tone(800, 0x55);
+  constexpr ATime kPastBuffer = 400;  // starts past the buffer: suspends
+  PlaySamplesReq req;
+  req.ac = ac.value()->id();
+  req.start_time = now.value() + window + kPastBuffer;
+  req.nbytes = static_cast<uint32_t>(tone.size());
+  req.data = tone;
+  conn->QueueRequest(Opcode::kPlaySamples, req);
+  conn->Flush();
+
+  const Counter& suspends = runner_->server().shard(0)->metrics().suspends;
+  for (int i = 0; i < 20000 && suspends.Value() == 0; ++i) {
+    SleepMicros(100);
+  }
+  ASSERT_GT(suspends.Value(), 0u) << "the play never suspended on shard 0";
+  conn.reset();
+
+  // The play fits once the buffer's end has moved past the play's end.
+  runner_->manual_clock()->Advance(kPastBuffer + static_cast<ATime>(tone.size()));
+  runner_->RunOnLoop([&] { runner_->codec()->Update(); });
+  EXPECT_EQ(torture::DrainToClientCount(*runner_, 0), 0u);
+  EXPECT_GT(runner_->server().shard(0)->metrics().resumes.Value(), 0u);
+  EXPECT_EQ(runner_->server().shard(1)->client_count(), 0u);
+}
+
+TEST_F(ShardServerTest, ForwardedReplyIsFlushedByTheExecutor) {
+  auto conn = ConnectOnShard(1);
+  ASSERT_NE(conn, nullptr);
+  ASSERT_TRUE(conn->GetTrace(kTraceFlagEnable).ok());
+  ASSERT_TRUE(conn->GetTime(runner_->codec_id()).ok());
+  auto trace = conn->GetTrace(kTraceFlagDisable);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  const std::vector<TraceEvent>& events = trace.value().events;
+
+  const auto is = [](const TraceEvent& ev, TraceKind kind) {
+    return ev.kind == static_cast<uint8_t>(kind);
+  };
+  const uint8_t get_time = static_cast<uint8_t>(Opcode::kGetTime);
+  const auto exec = std::find_if(events.begin(), events.end(), [&](const TraceEvent& ev) {
+    return is(ev, TraceKind::kRemoteExec) && ev.arg == get_time;
+  });
+  ASSERT_NE(exec, events.end()) << "no remote execution of the GetTime";
+  EXPECT_EQ(exec->shard, 0u);
+  // The first flush on the connection after the execution carries the
+  // 32-byte reply, and the executor's ring recorded it.
+  const auto flush = std::find_if(exec, events.end(), [&](const TraceEvent& ev) {
+    return is(ev, TraceKind::kFlush) && ev.conn == exec->conn;
+  });
+  ASSERT_NE(flush, events.end()) << "the GetTime reply was never flushed";
+  EXPECT_EQ(flush->shard, 0u) << "the reply left through the home shard";
+  EXPECT_EQ(flush->value, kReplyBaseBytes);
+  // The home's dispatch span ends where the executor handed the reply to
+  // the kernel, not when the connection came back.
+  const auto request = std::find_if(events.begin(), events.end(), [&](const TraceEvent& ev) {
+    return is(ev, TraceKind::kRequest) && ev.arg == get_time && ev.corr == exec->corr;
+  });
+  ASSERT_NE(request, events.end());
+  EXPECT_EQ(request->shard, 1u);
+  EXPECT_LE(request->host_us + request->dur_us, flush->host_us);
 }
 
 }  // namespace
