@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include <cstring>
 #include <map>
 
 #include "client/audio_context.h"
@@ -313,41 +312,26 @@ inline bool FetchServerSide(AFAudioConn& conn, ServerSide* out) {
     return false;
   }
   const ServerStatsWire& s = stats.value();
-  const auto counter = [&](const char* name) -> uint64_t {
-    for (size_t i = 0; i < kNumServerCounters && i < s.counters.size(); ++i) {
-      if (std::strcmp(kServerCounterNames[i], name) == 0) {
-        return s.counters[i];
-      }
-    }
-    return 0;
-  };
-  const auto dev_counter = [&](const DeviceStatsWire& d, const char* name) -> uint64_t {
-    for (size_t i = 0; i < kNumDeviceCounters && i < d.counters.size(); ++i) {
-      if (std::strcmp(kDeviceCounterNames[i], name) == 0) {
-        return d.counters[i];
-      }
-    }
-    return 0;
-  };
-  out->requests_dispatched = counter("requests_dispatched");
-  out->loop_iterations = counter("loop_iterations");
-  out->writev_calls = counter("writev_calls");
-  out->writev_iovecs = counter("writev_iovecs");
-  out->poller_backend = counter("poller_backend");
-  out->watched_fds = counter("watched_fds");
+  out->requests_dispatched = SlotValue(s.counters, ServerSlot("requests_dispatched"));
+  out->loop_iterations = SlotValue(s.counters, ServerSlot("loop_iterations"));
+  out->writev_calls = SlotValue(s.counters, ServerSlot("writev_calls"));
+  out->writev_iovecs = SlotValue(s.counters, ServerSlot("writev_iovecs"));
+  out->poller_backend = SlotValue(s.counters, ServerSlot("poller_backend"));
+  out->watched_fds = SlotValue(s.counters, ServerSlot("watched_fds"));
   out->poll_wake_p50_us = HistogramQuantile(s.poll_wake.buckets, 0.50);
   out->poll_wake_p95_us = HistogramQuantile(s.poll_wake.buckets, 0.95);
   for (const DeviceStatsWire& d : s.devices) {
-    out->play_underruns += dev_counter(d, "play_underruns");
-    out->play_underrun_samples += dev_counter(d, "play_underrun_samples");
-    out->mixed_writes += dev_counter(d, "mixed_writes");
-    out->preempt_writes += dev_counter(d, "preempt_writes");
-    out->mix_shared_writes += dev_counter(d, "mix_shared_writes");
-    out->preempt_clobber_writes += dev_counter(d, "preempt_clobber_writes");
-    out->mix_fanin_hw = std::max(out->mix_fanin_hw, dev_counter(d, "mix_fanin_hw"));
-    out->gain_fused_writes += dev_counter(d, "gain_fused_writes");
-    out->play_discarded_frames += dev_counter(d, "play_discarded_frames");
-    out->silence_filled_frames += dev_counter(d, "silence_filled_frames");
+    out->play_underruns += SlotValue(d.counters, DeviceSlot("play_underruns"));
+    out->play_underrun_samples += SlotValue(d.counters, DeviceSlot("play_underrun_samples"));
+    out->mixed_writes += SlotValue(d.counters, DeviceSlot("mixed_writes"));
+    out->preempt_writes += SlotValue(d.counters, DeviceSlot("preempt_writes"));
+    out->mix_shared_writes += SlotValue(d.counters, DeviceSlot("mix_shared_writes"));
+    out->preempt_clobber_writes += SlotValue(d.counters, DeviceSlot("preempt_clobber_writes"));
+    out->mix_fanin_hw =
+        std::max(out->mix_fanin_hw, SlotValue(d.counters, DeviceSlot("mix_fanin_hw")));
+    out->gain_fused_writes += SlotValue(d.counters, DeviceSlot("gain_fused_writes"));
+    out->play_discarded_frames += SlotValue(d.counters, DeviceSlot("play_discarded_frames"));
+    out->silence_filled_frames += SlotValue(d.counters, DeviceSlot("silence_filled_frames"));
   }
   std::vector<uint64_t> combined(s.hist_buckets, 0);
   for (const OpcodeStatsWire& op : s.opcodes) {
@@ -359,22 +343,14 @@ inline bool FetchServerSide(AFAudioConn& conn, ServerSide* out) {
   out->dispatch_p50_us = HistogramQuantile(combined, 0.50);
   out->dispatch_p95_us = HistogramQuantile(combined, 0.95);
   out->dispatch_p99_us = HistogramQuantile(combined, 0.99);
-  const auto shard_counter = [&](const ShardStatsWire& sh, const char* name) -> uint64_t {
-    for (size_t i = 0; i < kNumServerCounters && i < sh.counters.size(); ++i) {
-      if (std::strcmp(kServerCounterNames[i], name) == 0) {
-        return sh.counters[i];
-      }
-    }
-    return 0;
-  };
   for (const ShardStatsWire& sh : s.shards) {
     ShardSide side;
     side.index = sh.index;
-    side.clients_accepted = shard_counter(sh, "clients_accepted");
-    side.requests_dispatched = shard_counter(sh, "requests_dispatched");
-    side.cross_shard_posted = shard_counter(sh, "cross_shard_posted");
-    side.cross_shard_drained = shard_counter(sh, "cross_shard_drained");
-    side.mailbox_depth_hw = shard_counter(sh, "mailbox_depth_hw");
+    side.clients_accepted = SlotValue(sh.counters, ServerSlot("clients_accepted"));
+    side.requests_dispatched = SlotValue(sh.counters, ServerSlot("requests_dispatched"));
+    side.cross_shard_posted = SlotValue(sh.counters, ServerSlot("cross_shard_posted"));
+    side.cross_shard_drained = SlotValue(sh.counters, ServerSlot("cross_shard_drained"));
+    side.mailbox_depth_hw = SlotValue(sh.counters, ServerSlot("mailbox_depth_hw"));
     side.dispatch_p50_us = HistogramQuantile(sh.dispatch.buckets, 0.50);
     side.dispatch_p95_us = HistogramQuantile(sh.dispatch.buckets, 0.95);
     side.dispatch_p99_us = HistogramQuantile(sh.dispatch.buckets, 0.99);

@@ -74,30 +74,21 @@ int main(int argc, char** argv) {
   AoD(probe.ok(), "abridge: %s\n", probe.status().ToString().c_str());
   auto stats = probe.value()->GetServerStats();
   AoD(stats.ok(), "abridge: %s\n", stats.status().ToString().c_str());
-  const auto counter = [](const DeviceStatsWire& dev, const char* name) -> uint64_t {
-    for (size_t i = 0; i < kNumDeviceCounters && i < dev.counters.size(); ++i) {
-      if (!strcmp(kDeviceCounterNames[i], name)) {
-        return dev.counters[i];
-      }
-    }
-    return 0;
-  };
   for (const DeviceStatsWire& dev : stats.value().devices) {
-    const uint64_t mixed = counter(dev, "mixed_writes");
-    const uint64_t preempt = counter(dev, "preempt_writes");
+    const auto value = [&dev](size_t slot) {
+      return static_cast<unsigned long long>(SlotValue(dev.counters, slot));
+    };
+    const unsigned long long mixed = value(DeviceSlot("mixed_writes"));
+    const unsigned long long preempt = value(DeviceSlot("preempt_writes"));
     if (mixed == 0 && preempt == 0) {
       continue;  // no play traffic on this device
     }
     std::printf(
         "dev%u: mixed=%llu (shared=%llu) preempt=%llu fanin_hw=%llu fused=%llu "
         "discarded=%llu silence=%llu\n",
-        dev.index, static_cast<unsigned long long>(mixed),
-        static_cast<unsigned long long>(counter(dev, "mix_shared_writes")),
-        static_cast<unsigned long long>(preempt),
-        static_cast<unsigned long long>(counter(dev, "mix_fanin_hw")),
-        static_cast<unsigned long long>(counter(dev, "gain_fused_writes")),
-        static_cast<unsigned long long>(counter(dev, "play_discarded_frames")),
-        static_cast<unsigned long long>(counter(dev, "silence_filled_frames")));
+        dev.index, mixed, value(DeviceSlot("mix_shared_writes")), preempt,
+        value(DeviceSlot("mix_fanin_hw")), value(DeviceSlot("gain_fused_writes")),
+        value(DeviceSlot("play_discarded_frames")), value(DeviceSlot("silence_filled_frames")));
   }
   return 0;
 }

@@ -259,9 +259,10 @@ print(f"astat --shards OK: {len(shards)} shard entries")
 fi
 
 echo "== astat --prom renders well-formed Prometheus exposition =="
-# Counters end in _total, histograms carry cumulative le buckets that must
-# be nondecreasing with the +Inf bucket equal to _count, and every metric
-# name gets exactly one # TYPE line. A violation of any of those breaks
+# Counters, and only counters, end in _total; every declared slot carries
+# the TYPE of its declared kind; histograms carry cumulative le buckets that
+# must be nondecreasing with the +Inf bucket equal to _count; and every
+# metric name gets exactly one # TYPE line. A violation of any of those breaks
 # real scrapers, so each fails CI here.
 ASTAT_PROM="$(./build/examples/astat -demo --prom)"
 if command -v python3 >/dev/null 2>&1; then
@@ -276,6 +277,21 @@ for ln in lines:
         types[m.group(1)] = m.group(2)
 assert types.get("af_requests_dispatched_total") == "counter"
 assert any(t == "histogram" for t in types.values()), "no histograms exposed"
+for name, kind in types.items():
+    assert (kind == "counter") == name.endswith("_total"), f"{name} is a {kind}"
+# Each declared slot is typed by its declared kind (src/proto/stats.h):
+# counters as <name>_total, gauges and high-waters as gauges.
+header = open("src/proto/stats.h").read()
+for prefix, macro in (("af_", "AF_SERVER_METRICS"), ("af_device_", "AF_DEVICE_METRICS")):
+    block = re.search(r"#define " + macro + r"\(X\)(.*?)\n\n", header, re.S).group(1)
+    slots = re.findall(r"X\((\w+), (k\w+), k\w+\)", block)
+    assert slots, f"no slots parsed from {macro}"
+    for slot, kind in slots:
+        if kind == "kCounter":
+            assert types.get(prefix + slot + "_total") == "counter", f"{slot}: not a counter"
+        else:
+            assert types.get(prefix + slot) == "gauge", f"{slot}: not a gauge"
+            assert prefix + slot + "_total" not in types, f"{slot}: gauge exposed as _total"
 buckets = collections.defaultdict(list)  # series key -> cumulative counts
 counts = {}
 for ln in lines:

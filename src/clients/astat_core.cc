@@ -8,7 +8,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <thread>
 
 #include "clients/cores.h"
@@ -44,17 +43,6 @@ std::string OpcodeLabel(size_t i) {
     return OpcodeName(static_cast<Opcode>(i));
   }
   return "opcode" + std::to_string(i);
-}
-
-// Value of the named aggregate counter inside a shard's counter block
-// (kServerCounterNames order); 0 when the wire block is short.
-uint64_t ShardCounter(const ShardStatsWire& sh, const char* name) {
-  for (size_t i = 0; i < kNumServerCounters && i < sh.counters.size(); ++i) {
-    if (std::string_view(kServerCounterNames[i]) == name) {
-      return sh.counters[i];
-    }
-  }
-  return 0;
 }
 
 struct Quantiles {
@@ -98,11 +86,11 @@ void TableShards(std::string* out, const ServerStatsWire& s) {
     Appendf(out,
             "  %-5" PRIu32 " %10" PRIu64 " %12" PRIu64 " %8" PRIu64 " %8" PRIu64
             " %10" PRIu64 " %10" PRIu64 " %8" PRIu64 "\n",
-            sh.index, ShardCounter(sh, "clients_accepted"),
-            ShardCounter(sh, "requests_dispatched"), q.p95, q.p99,
-            ShardCounter(sh, "cross_shard_posted"),
-            ShardCounter(sh, "cross_shard_drained"),
-            ShardCounter(sh, "mailbox_depth_hw"));
+            sh.index, SlotValue(sh.counters, ServerSlot("clients_accepted")),
+            SlotValue(sh.counters, ServerSlot("requests_dispatched")), q.p95, q.p99,
+            SlotValue(sh.counters, ServerSlot("cross_shard_posted")),
+            SlotValue(sh.counters, ServerSlot("cross_shard_drained")),
+            SlotValue(sh.counters, ServerSlot("mailbox_depth_hw")));
   }
 }
 
@@ -287,13 +275,13 @@ void PromHistogram(std::string* out, const char* metric, const std::string& labe
 
 std::string FormatServerStatsProm(const ServerStatsWire& s) {
   std::string out;
-  // Aggregate counters: monotonic slots as counters (_total), gauge slots
-  // (queue depths, high-waters that DiffServerStats treats as absolute) as
-  // gauges under their bare name.
+  // Aggregate counters by declared kind: counters as af_<name>_total,
+  // gauges and high-waters (kept absolute by DiffServerStats) as gauges
+  // under their bare name.
   for (size_t i = 0; i < s.counters.size(); ++i) {
     const std::string name =
         CounterLabel(kServerCounterNames, kNumServerCounters, i);
-    if (IsServerGaugeSlot(i)) {
+    if (!IsCounterSlot(kServerMetrics, i)) {
       Appendf(&out, "# TYPE af_%s gauge\naf_%s %" PRIu64 "\n", name.c_str(),
               name.c_str(), s.counters[i]);
     } else {
@@ -338,11 +326,14 @@ std::string FormatServerStatsProm(const ServerStatsWire& s) {
   }
   for (size_t i = 0; i < max_dev_counters; ++i) {
     const std::string name = CounterLabel(kDeviceCounterNames, kNumDeviceCounters, i);
-    Appendf(&out, "# TYPE af_device_%s_total counter\n", name.c_str());
+    const bool counter = IsCounterSlot(kDeviceMetrics, i);
+    const char* suffix = counter ? "_total" : "";
+    Appendf(&out, "# TYPE af_device_%s%s %s\n", name.c_str(), suffix,
+            counter ? "counter" : "gauge");
     for (const DeviceStatsWire& dev : s.devices) {
       if (i < dev.counters.size()) {
-        Appendf(&out, "af_device_%s_total{device=\"%" PRIu32 "\"} %" PRIu64 "\n",
-                name.c_str(), dev.index, dev.counters[i]);
+        Appendf(&out, "af_device_%s%s{device=\"%" PRIu32 "\"} %" PRIu64 "\n",
+                name.c_str(), suffix, dev.index, dev.counters[i]);
       }
     }
   }
@@ -370,6 +361,17 @@ namespace {
 
 uint64_t Sub(uint64_t cur, uint64_t prev) { return cur >= prev ? cur - prev : 0; }
 
+// Subtracts prev from the counter slots of cur; gauge and high-water slots
+// keep their absolute values.
+void DiffCounters(std::span<const MetricDecl> decls, const std::vector<uint64_t>& prev,
+                  std::vector<uint64_t>* cur) {
+  for (size_t i = 0; i < std::min(prev.size(), cur->size()); ++i) {
+    if (IsCounterSlot(decls, i)) {
+      (*cur)[i] = Sub((*cur)[i], prev[i]);
+    }
+  }
+}
+
 void DiffHistogram(const StatsHistogramWire& prev, StatsHistogramWire* cur) {
   cur->count = Sub(cur->count, prev.count);
   cur->sum = Sub(cur->sum, prev.sum);
@@ -383,9 +385,7 @@ void DiffHistogram(const StatsHistogramWire& prev, StatsHistogramWire* cur) {
 
 ServerStatsWire DiffServerStats(const ServerStatsWire& prev, const ServerStatsWire& cur) {
   ServerStatsWire d = cur;
-  for (size_t i = 0; i < std::min(prev.counters.size(), d.counters.size()); ++i) {
-    d.counters[i] = Sub(d.counters[i], prev.counters[i]);
-  }
+  DiffCounters(kServerMetrics, prev.counters, &d.counters);
   for (size_t i = 0; i < std::min(prev.errors_by_code.size(), d.errors_by_code.size());
        ++i) {
     d.errors_by_code[i] = Sub(d.errors_by_code[i], prev.errors_by_code[i]);
@@ -403,22 +403,14 @@ ServerStatsWire DiffServerStats(const ServerStatsWire& prev, const ServerStatsWi
     if (prev.shards[i].index != d.shards[i].index) {
       continue;  // shard set changed between snapshots; keep absolutes
     }
-    const size_t n =
-        std::min(prev.shards[i].counters.size(), d.shards[i].counters.size());
-    for (size_t c = 0; c < n; ++c) {
-      d.shards[i].counters[c] = Sub(d.shards[i].counters[c], prev.shards[i].counters[c]);
-    }
+    DiffCounters(kServerMetrics, prev.shards[i].counters, &d.shards[i].counters);
     DiffHistogram(prev.shards[i].dispatch, &d.shards[i].dispatch);
   }
   for (size_t i = 0; i < std::min(prev.devices.size(), d.devices.size()); ++i) {
     if (prev.devices[i].index != d.devices[i].index) {
       continue;  // device set changed between snapshots; keep absolutes
     }
-    const size_t n =
-        std::min(prev.devices[i].counters.size(), d.devices[i].counters.size());
-    for (size_t c = 0; c < n; ++c) {
-      d.devices[i].counters[c] = Sub(d.devices[i].counters[c], prev.devices[i].counters[c]);
-    }
+    DiffCounters(kDeviceMetrics, prev.devices[i].counters, &d.devices[i].counters);
     DiffHistogram(prev.devices[i].update_lag, &d.devices[i].update_lag);
   }
   return d;
@@ -427,10 +419,8 @@ ServerStatsWire DiffServerStats(const ServerStatsWire& prev, const ServerStatsWi
 bool ServerStatsRegressed(const ServerStatsWire& prev, const ServerStatsWire& cur) {
   const size_t n = std::min(prev.counters.size(), cur.counters.size());
   for (size_t i = 0; i < n; ++i) {
-    if (IsServerGaugeSlot(i)) {
-      continue;  // gauges legitimately move both ways
-    }
-    if (cur.counters[i] < prev.counters[i]) {
+    // Gauges and high-waters legitimately move both ways.
+    if (IsCounterSlot(kServerMetrics, i) && cur.counters[i] < prev.counters[i]) {
       return true;
     }
   }
@@ -477,11 +467,14 @@ Result<std::string> RunAstat(AFAudioConn& aud, const AstatOptions& options) {
     const std::string report = render(
         restarted ? cur.value() : DiffServerStats(prev.value(), cur.value()),
         restarted);
+    // A report handed to on_report is not kept: the CLI watches until
+    // killed and would otherwise grow this string forever.
     if (options.on_report) {
       options.on_report(report);
+    } else {
+      all += report;
+      all += "\n";
     }
-    all += report;
-    all += "\n";
     prev = std::move(cur);
   }
   return all;

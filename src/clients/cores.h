@@ -221,15 +221,18 @@ struct AstatOptions {
   // --watch <seconds>: instead of one absolute snapshot, report the counter
   // deltas accumulated over each interval (watch_count intervals; the CLI
   // passes SIZE_MAX and runs until killed). Histograms and latency sums are
-  // differenced the same way, so percentiles describe just that interval.
+  // differenced the same way, so percentiles describe just that interval;
+  // gauges and high-waters stay absolute.
   double watch_seconds = 0;
   size_t watch_count = 1;
   // --prom: Prometheus text exposition format (version 0.0.4) instead of
-  // the table. Counters become af_<name>_total, gauge slots af_<name>,
+  // the table. Each slot is typed by its declared kind (proto/stats.h):
+  // counters become af_<name>_total, gauges and high-waters af_<name>,
   // histograms af_*_micros with cumulative le buckets ending at +Inf.
   bool prom = false;
-  // Invoked with each interval's report as it completes (watch mode only);
-  // the final return value concatenates them regardless.
+  // Invoked with each interval's report as it completes (watch mode only).
+  // Without it, the final return value concatenates the reports; with it,
+  // the return value is empty.
   std::function<void(const std::string&)> on_report;
 };
 
@@ -248,14 +251,15 @@ std::string FormatServerStats(const ServerStatsWire& stats, bool json,
 Result<std::string> RunAstat(AFAudioConn& aud, const AstatOptions& options);
 
 // Elementwise delta (cur - prev) of two stats snapshots from the same
-// server: counters, error counts, per-opcode latency, and histograms are
-// differenced; sizes are clamped to the smaller snapshot.
+// server: counter slots, error counts, per-opcode latency, and histograms
+// are differenced; gauge and high-water slots (by declared kind) keep cur's
+// absolute value. Sizes are clamped to the smaller snapshot.
 ServerStatsWire DiffServerStats(const ServerStatsWire& prev, const ServerStatsWire& cur);
 
 // True when cur cannot be a later snapshot of the same server process as
 // prev: a monotonic counter went backwards, i.e. the server restarted (or
-// failed over) between the two. Gauge slots, which legitimately move both
-// ways, are excluded. --watch uses this to reset its baseline instead of
+// failed over) between the two. Gauge and high-water slots, which
+// legitimately move both ways, are excluded. --watch uses this to reset its baseline instead of
 // printing an all-zero saturated diff (PR 8 satellite fix).
 bool ServerStatsRegressed(const ServerStatsWire& prev, const ServerStatsWire& cur);
 

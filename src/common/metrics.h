@@ -1,5 +1,5 @@
-// Server-wide observability primitives: named monotonic counters, gauges,
-// and fixed-bucket histograms.
+// Server-wide observability primitives: monotonic counters, gauges, and
+// fixed-bucket histograms.
 //
 // Hot-path contract (the play/record path is allocation-free per PR 1, and
 // metrics recording must not break that): Counter::Add and
@@ -23,8 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace af {
 
@@ -93,32 +91,6 @@ class Histogram {
 // Shared by the server's text dump and the astat client so both report the
 // same numbers from the same wire data. Returns 0 for an empty histogram.
 uint64_t HistogramQuantile(std::span<const uint64_t> buckets, double q);
-
-// A registry of named metrics for enumeration (the SIGUSR1 / shutdown text
-// dump). Registration allocates and is meant for setup time; the metrics
-// themselves live wherever the owner put them (the registry only borrows
-// pointers, which therefore must outlive it or be Unregister()ed).
-class MetricsRegistry {
- public:
-  void Register(std::string name, const Counter* c);
-  void Register(std::string name, const Gauge* g);
-  void Register(std::string name, const Histogram* h);
-
-  // Appends "name value" lines (histograms get count/sum/p50/p95/p99) in
-  // registration order.
-  std::string DumpText() const;
-
-  size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    std::string name;
-    const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
-    const Histogram* histogram = nullptr;
-  };
-  std::vector<Entry> entries_;
-};
 
 }  // namespace af
 

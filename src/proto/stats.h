@@ -14,7 +14,9 @@
 #define AF_PROTO_STATS_H_
 
 #include <cstdint>
+#include <iterator>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "proto/wire.h"
@@ -23,88 +25,130 @@ namespace af {
 
 constexpr uint32_t kServerStatsVersion = 1;
 
-// Global counter order on the wire. astat and the server's text dump both
-// label positions from this table so they can never disagree.
-inline constexpr const char* kServerCounterNames[] = {
-    "requests_dispatched", "events_sent",    "errors_sent", "clients_accepted",
-    "clients_reaped",      "loop_iterations", "bytes_in",    "bytes_out",
-    "highwater_hits",      "suspends",       "resumes",     "faults_applied",
-    "trace_dropped_events",  // appended in PR 4; old readers show fewer rows
-    // Appended in PR 5. The last two are gauges sampled at snapshot time
-    // (poller_backend: 0=poll 1=epoll; watched_fds: current interest-set
-    // size), carried in the counters array to stay within the append-only
-    // versioning rule.
-    "writev_calls",        "writev_iovecs",  "poller_backend", "watched_fds",
-    // Appended in PR 6 (sharding). The first six are monotonic counters
-    // (ServerMetrics::ExtraCounterList()); mailbox_depth_hw and shards are
-    // gauges sampled at snapshot time like poller_backend/watched_fds.
-    "cross_shard_posted",  "cross_shard_drained", "cross_shard_events",
-    "cross_shard_plays",   "mailbox_wakes",       "mailbox_spills",
-    "mailbox_depth_hw",    "shards",
-    // Appended in PR 8 (replication + failover). The first two are
-    // monotonic per-shard counters (ServerMetrics::ReplCounterList()):
-    // oplog_records is op-log records emitted toward the backup, resyncs is
-    // ResyncTime requests served after a client reconnect. The last three
-    // are server-global gauges patched in at aggregation time:
-    // oplog_acked is the backup's cumulative ack watermark, repl_overflows
-    // counts times the unacked window overflowed and dropped the link, and
-    // failovers_promoted is 1 once this server promoted itself from backup.
-    "oplog_records",       "resyncs",
-    "oplog_acked",         "repl_overflows",      "failovers_promoted",
-};
-constexpr size_t kNumServerCounters =
-    sizeof(kServerCounterNames) / sizeof(kServerCounterNames[0]);
-// The leading kNumServerCounterSlots positions are monotonic counters with
-// stable addresses in ServerMetrics::CounterList(); positions 15 and 16
-// are the PR 5 gauges, fixed forever by the append-only rule.
-constexpr size_t kNumServerCounterSlots = 15;
-// The PR 6 extra region: six more monotonic counters starting right after
-// the PR 5 gauges (ServerMetrics::ExtraCounterList()), then two more gauge
-// samples.
-constexpr size_t kFirstExtraCounterSlot = kNumServerCounterSlots + 2;
-constexpr size_t kNumExtraCounterSlots = 6;
-// The PR 8 replication region: two more per-shard monotonic counters
-// (ServerMetrics::ReplCounterList()) after the PR 6 gauges, then three
-// server-global gauges (oplog_acked, repl_overflows, failovers_promoted).
-constexpr size_t kFirstReplCounterSlot =
-    kFirstExtraCounterSlot + kNumExtraCounterSlots + 2;
-constexpr size_t kNumReplCounterSlots = 2;
-constexpr size_t kFirstReplGaugeSlot = kFirstReplCounterSlot + kNumReplCounterSlots;
-constexpr size_t kNumReplGaugeSlots = 3;
+// The metrics declaration: every positional server slot and every device
+// slot, once, in wire order, as X(name, kind, scope). The name is the wire
+// name and the name of the member that holds the value (ServerMetrics or
+// ServerScopeMetrics for server slots, DeviceMetrics for device slots);
+// the server's fill order, aggregation and text dump, the flight
+// recorder's counter list and every reader's kinds derive from it.
+//
+// Kinds:
+//   kCounter    monotonic count: diffs subtract, the aggregate sums shards.
+//   kGauge      sample: kept absolute, the aggregate sums shards.
+//   kHighWater  sample: kept absolute, the aggregate takes the shard max;
+//               also used for values every shard holds alike (the poll
+//               backend, the shard count).
+// Scopes:
+//   kShard      one value per shard, in every shard slice.
+//   kServer     one value per server, filled once into the aggregate and
+//               left at zero in shard slices.
+//   kDevice     one value per device.
+//
+// Append only: a new slot goes at the end of its list; moving one or
+// changing its kind is a relayout and bumps kServerStatsVersion.
+#define AF_SERVER_METRICS(X)                  \
+  X(requests_dispatched, kCounter, kShard)    \
+  X(events_sent, kCounter, kShard)            \
+  X(errors_sent, kCounter, kShard)            \
+  X(clients_accepted, kCounter, kShard)       \
+  X(clients_reaped, kCounter, kShard)         \
+  X(loop_iterations, kCounter, kShard)        \
+  X(bytes_in, kCounter, kShard)               \
+  X(bytes_out, kCounter, kShard)              \
+  X(highwater_hits, kCounter, kShard)         \
+  X(suspends, kCounter, kShard)               \
+  X(resumes, kCounter, kShard)                \
+  X(faults_applied, kCounter, kShard)         \
+  X(trace_dropped_events, kCounter, kShard)   \
+  X(writev_calls, kCounter, kShard)           \
+  X(writev_iovecs, kCounter, kShard)          \
+  X(poller_backend, kHighWater, kShard)       \
+  X(watched_fds, kGauge, kShard)              \
+  X(cross_shard_posted, kCounter, kShard)     \
+  X(cross_shard_drained, kCounter, kShard)    \
+  X(cross_shard_events, kCounter, kShard)     \
+  X(cross_shard_plays, kCounter, kShard)      \
+  X(mailbox_wakes, kCounter, kShard)          \
+  X(mailbox_spills, kCounter, kShard)         \
+  X(mailbox_depth_hw, kHighWater, kShard)     \
+  X(shards, kHighWater, kShard)               \
+  X(oplog_records, kCounter, kShard)          \
+  X(resyncs, kCounter, kShard)                \
+  X(oplog_acked, kGauge, kServer)             \
+  X(repl_overflows, kGauge, kServer)          \
+  X(failovers_promoted, kGauge, kServer)
 
-// True for positions that carry point-in-time gauge samples rather than
-// monotonic counters. astat's watch mode uses this to diff only the
-// monotonic positions and to detect a server restart (monotonic counter
-// went backwards).
-constexpr bool IsServerGaugeSlot(size_t i) {
-  return i == kNumServerCounterSlots || i == kNumServerCounterSlots + 1 ||
-         i == kFirstExtraCounterSlot + kNumExtraCounterSlots ||
-         i == kFirstExtraCounterSlot + kNumExtraCounterSlots + 1 ||
-         (i >= kFirstReplGaugeSlot && i < kFirstReplGaugeSlot + kNumReplGaugeSlots);
+#define AF_DEVICE_METRICS(X)                     \
+  X(play_underruns, kCounter, kDevice)           \
+  X(play_underrun_samples, kCounter, kDevice)    \
+  X(record_overruns, kCounter, kDevice)          \
+  X(record_overrun_frames, kCounter, kDevice)    \
+  X(silence_filled_frames, kCounter, kDevice)    \
+  X(preempt_writes, kCounter, kDevice)           \
+  X(mixed_writes, kCounter, kDevice)             \
+  X(passthrough_plays, kCounter, kDevice)        \
+  X(converted_plays, kCounter, kDevice)          \
+  X(updates, kCounter, kDevice)                  \
+  X(play_discarded_frames, kCounter, kDevice)    \
+  X(mix_shared_writes, kCounter, kDevice)        \
+  X(preempt_clobber_writes, kCounter, kDevice)   \
+  X(mix_fanin_hw, kHighWater, kDevice)           \
+  X(gain_fused_writes, kCounter, kDevice)
+
+enum class MetricKind : uint8_t { kCounter, kGauge, kHighWater };
+enum class MetricScope : uint8_t { kShard, kServer, kDevice };
+
+struct MetricDecl {
+  const char* name;
+  MetricKind kind;
+  MetricScope scope;
+};
+
+#define AF_METRIC_DECL(name, kind, scope) \
+  MetricDecl{#name, MetricKind::kind, MetricScope::scope},
+#define AF_METRIC_NAME(name, kind, scope) #name,
+inline constexpr MetricDecl kServerMetrics[] = {AF_SERVER_METRICS(AF_METRIC_DECL)};
+inline constexpr MetricDecl kDeviceMetrics[] = {AF_DEVICE_METRICS(AF_METRIC_DECL)};
+// The name columns, as plain arrays for readers that label positions.
+inline constexpr const char* kServerCounterNames[] = {AF_SERVER_METRICS(AF_METRIC_NAME)};
+inline constexpr const char* kDeviceCounterNames[] = {AF_DEVICE_METRICS(AF_METRIC_NAME)};
+#undef AF_METRIC_DECL
+#undef AF_METRIC_NAME
+
+constexpr size_t kNumServerCounters = std::size(kServerCounterNames);
+constexpr size_t kNumDeviceCounters = std::size(kDeviceCounterNames);
+
+// True when slot i of a counters array carries a monotonic count. A slot
+// past this build's declaration (a newer server appended it) counts as
+// monotonic.
+constexpr bool IsCounterSlot(std::span<const MetricDecl> decls, size_t i) {
+  return i >= decls.size() || decls[i].kind == MetricKind::kCounter;
 }
 
-// Per-device counter order on the wire (matches DeviceMetrics). The
-// device counters array is count-prefixed like every other array in the
-// block, so appending names here is wire-safe: old decoders show fewer
-// rows per device.
-inline constexpr const char* kDeviceCounterNames[] = {
-    "play_underruns",   "play_underrun_samples", "record_overruns",
-    "record_overrun_frames", "silence_filled_frames", "preempt_writes",
-    "mixed_writes",     "passthrough_plays",     "converted_plays",
-    "updates",
-    // Appended in PR 7 (conference bridge fan-in). play_discarded_frames
-    // counts play data clipped to the past - the request-side samples
-    // lost, identical on the preempt and mix paths. mix_shared_writes /
-    // preempt_clobber_writes split the mixed/preempt write counts by
-    // fan-in degree (another source was active in the same update window);
-    // mix_fanin_hw is the high-water distinct-source count per window;
-    // gain_fused_writes counts writes that took the single-pass per-source
-    // gain+mix path.
-    "play_discarded_frames", "mix_shared_writes", "preempt_clobber_writes",
-    "mix_fanin_hw",     "gain_fused_writes",
-};
-constexpr size_t kNumDeviceCounters =
-    sizeof(kDeviceCounterNames) / sizeof(kDeviceCounterNames[0]);
+// --- reading a snapshot by name ----------------------------------------------
+//
+//   SlotValue(stats.counters, ServerSlot("requests_dispatched"))
+//   SlotValue(device.counters, DeviceSlot("mixed_writes"))
+//
+// The slot lookups are consteval: a name the declaration does not have
+// fails the build.
+
+consteval size_t SlotOf(std::span<const MetricDecl> decls, std::string_view name) {
+  for (size_t i = 0; i < decls.size(); ++i) {
+    if (name == decls[i].name) {
+      return i;
+    }
+  }
+  throw "no metric of that name is declared";
+}
+consteval size_t ServerSlot(std::string_view name) { return SlotOf(kServerMetrics, name); }
+consteval size_t DeviceSlot(std::string_view name) { return SlotOf(kDeviceMetrics, name); }
+
+// The value in a count-prefixed counters array (aggregate, shard slice or
+// device); 0 when the array is too short, i.e. an older server sent it.
+inline uint64_t SlotValue(std::span<const uint64_t> values, size_t slot) {
+  return slot < values.size() ? values[slot] : 0;
+}
 
 // A histogram snapshot: count, sum, then one bucket count per power-of-two
 // bucket (layout as in common/metrics.h, bucket count carried separately

@@ -16,7 +16,6 @@
 #ifndef AF_SERVER_AUDIO_DEVICE_H_
 #define AF_SERVER_AUDIO_DEVICE_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -52,8 +51,8 @@ struct RecordOutcome {
   ATime ready_time = 0;      // device time at which all data will exist
 };
 
-// Per-device health counters (wire order documented in PROTOCOL.md under
-// GetServerStats; names in proto/stats.cc must match). All members follow
+// Per-device health counters. AF_DEVICE_METRICS (proto/stats.h) declares
+// which go on the wire, in what order and as what kind. All members follow
 // the metrics hot-path contract: recording is lock- and allocation-free.
 struct DeviceMetrics {
   Counter play_underruns;         // PlayUpdate ran after the hw drained its window
@@ -77,14 +76,14 @@ struct DeviceMetrics {
   Histogram update_lag_micros;    // scheduled deadline vs actual run time
 };
 
-// The counters in kDeviceCounterNames wire order (proto/stats.h).
-inline std::array<const Counter*, kNumDeviceCounters> DeviceCounterList(
-    const DeviceMetrics& m) {
-  return {&m.play_underruns, &m.play_underrun_samples, &m.record_overruns,
-          &m.record_overrun_frames, &m.silence_filled_frames, &m.preempt_writes,
-          &m.mixed_writes, &m.passthrough_plays, &m.converted_plays, &m.updates,
-          &m.play_discarded_frames, &m.mix_shared_writes, &m.preempt_clobber_writes,
-          &m.mix_fanin_hw, &m.gain_fused_writes};
+// Calls f(slot, name, member) for every declared device slot
+// (AF_DEVICE_METRICS in proto/stats.h), in wire order.
+template <typename F>
+void ForEachDeviceSlot(const DeviceMetrics& m, F&& f) {
+  size_t slot = 0;
+#define AF_VISIT_SLOT(name, kind, scope) f(slot++, #name, m.name);
+  AF_DEVICE_METRICS(AF_VISIT_SLOT)
+#undef AF_VISIT_SLOT
 }
 
 // DDA interface: one instance per abstract audio device.

@@ -86,13 +86,6 @@ DeviceId AFServer::AddDeviceOnShard(std::unique_ptr<AudioDevice> device,
   properties_.back()->SetChangeHook([owner, id](Atom property, bool deleted) {
     owner->OnPropertyChanged(id, property, deleted);
   });
-  const std::string prefix = "dev" + std::to_string(id) + ".";
-  const DeviceMetrics& m = devices_.back()->metrics();
-  const auto dev_counters = DeviceCounterList(m);
-  for (size_t i = 0; i < kNumDeviceCounters; ++i) {
-    owner->registry().Register(prefix + kDeviceCounterNames[i], dev_counters[i]);
-  }
-  owner->registry().Register(prefix + "update_lag_micros", &m.update_lag_micros);
   owner->ScheduleDeviceUpdate(id);
   return id;
 }
@@ -259,52 +252,9 @@ size_t AFServer::client_count() const {
 ServerMetrics& AFServer::metrics() { return shards_[0]->metrics(); }
 const ServerMetrics& AFServer::metrics() const { return shards_[0]->metrics(); }
 
-AFServer::Stats AFServer::stats() const {
-  Stats total;
-  for (const auto& s : shards_) {
-    const ServerMetrics& m = s->metrics();
-    total.requests_dispatched += m.requests_dispatched.Value();
-    total.events_sent += m.events_sent.Value();
-    total.errors_sent += m.errors_sent.Value();
-    total.clients_accepted += m.clients_accepted.Value();
-    total.loop_iterations += m.loop_iterations.Value();
-  }
-  return total;
-}
-
 void AFServer::SnapshotStats(ServerStatsWire* out) {
   AggregateStats(out, shards_[0].get());
 }
-
-namespace {
-
-// Fills the full kNumServerCounters-slot counter vector for one shard, in
-// kServerCounterNames order (monotonic counters, then gauge samples, then
-// the PR 6 extras).
-void FillShardCounters(const Shard& shard, uint64_t num_shards,
-                       std::vector<uint64_t>* out) {
-  const ServerMetrics& m = shard.metrics();
-  out->clear();
-  out->reserve(kNumServerCounters);
-  for (const Counter* c : m.CounterList()) {
-    out->push_back(c->Value());
-  }
-  out->push_back(static_cast<uint64_t>(m.poller_backend.Value()));
-  out->push_back(static_cast<uint64_t>(m.watched_fds.Value()));
-  for (const Counter* c : m.ExtraCounterList()) {
-    out->push_back(c->Value());
-  }
-  out->push_back(shard.mailbox_depth_high_water());
-  out->push_back(num_shards);
-  for (const Counter* c : m.ReplCounterList()) {
-    out->push_back(c->Value());
-  }
-  // The three replication gauges are server-global; the aggregate patches
-  // them in after the sum loop. Per-shard slices carry zeros.
-  out->insert(out->end(), kNumReplGaugeSlots, 0);
-}
-
-}  // namespace
 
 void AFServer::AggregateStats(ServerStatsWire* out, Shard* caller) {
   // Pull the calling shard's live clients' fault-application counts into
@@ -312,24 +262,29 @@ void AFServer::AggregateStats(ServerStatsWire* out, Shard* caller) {
   // their already-synced counts are read as-is (all spines are atomics).
   caller->SyncClientFaultMetrics();
 
-  const uint64_t n_shards = static_cast<uint64_t>(shards_.size());
   out->version = kServerStatsVersion;
   out->counters.assign(kNumServerCounters, 0);
-  std::vector<uint64_t> shard_counters;
   out->shards.clear();
   for (const auto& s : shards_) {
-    FillShardCounters(*s, n_shards, &shard_counters);
-    for (size_t i = 0; i < kNumServerCounters; ++i) {
-      out->counters[i] += shard_counters[i];
-    }
+    const ServerMetrics& m = s->metrics();
+    // The shard's slice carries its shard-scope slots; server-scope slots
+    // stay zero there and are filled once into the aggregate below.
     ShardStatsWire sw;
     sw.index = s->index();
-    sw.counters = shard_counters;
+    sw.counters.assign(kNumServerCounters, 0);
+    ForEachServerSlot<MetricScope::kShard>(m, [&sw](size_t slot, const char*, const auto& v) {
+      sw.counters[slot] = MetricValue(v);
+    });
+    for (size_t i = 0; i < kNumServerCounters; ++i) {
+      uint64_t& total = out->counters[i];
+      total = kServerMetrics[i].kind == MetricKind::kHighWater
+                  ? std::max(total, sw.counters[i])
+                  : total + sw.counters[i];
+    }
     // One merged service-time histogram per shard: every opcode's
     // dispatch micros folded together (astat --shards wants a per-shard
     // latency shape, not 39 histograms per shard on the wire).
     sw.dispatch.buckets.assign(Histogram::kBuckets, 0);
-    const ServerMetrics& m = s->metrics();
     for (size_t op = 0; op <= kMaxOpcode; ++op) {
       sw.dispatch.count += m.op_micros[op].Count();
       sw.dispatch.sum += m.op_micros[op].Sum();
@@ -339,25 +294,14 @@ void AFServer::AggregateStats(ServerStatsWire* out, Shard* caller) {
     }
     out->shards.push_back(std::move(sw));
   }
-  // Aggregate gauge slots where summing is wrong: the backend is a shared
-  // property (all shards pick the same one), the depth high-water is a
-  // maximum, and the shard count is a constant - not N times itself.
-  const size_t backend_slot = kNumServerCounterSlots;
-  out->counters[backend_slot] =
-      static_cast<uint64_t>(shards_[0]->metrics().poller_backend.Value());
-  uint64_t depth_hw = 0;
-  for (const auto& s : shards_) {
-    depth_hw = std::max(depth_hw, s->mailbox_depth_high_water());
+  ServerScopeMetrics server;
+  if (repl_primary_ != nullptr) {
+    server.oplog_acked = repl_primary_->acked();
+    server.repl_overflows = repl_primary_->overflows();
   }
-  out->counters[kFirstExtraCounterSlot + kNumExtraCounterSlots] = depth_hw;
-  out->counters[kFirstExtraCounterSlot + kNumExtraCounterSlots + 1] = n_shards;
-  // Replication gauges: the primary's ack watermark and overflow count,
-  // and whether this server promoted itself from a backup.
-  out->counters[kFirstReplGaugeSlot] =
-      repl_primary_ != nullptr ? repl_primary_->acked() : 0;
-  out->counters[kFirstReplGaugeSlot + 1] =
-      repl_primary_ != nullptr ? repl_primary_->overflows() : 0;
-  out->counters[kFirstReplGaugeSlot + 2] = promoted() ? 1 : 0;
+  server.failovers_promoted = promoted() ? 1 : 0;
+  ForEachServerSlot<MetricScope::kServer>(
+      server, [out](size_t slot, const char*, uint64_t v) { out->counters[slot] = v; });
 
   out->errors_by_code.assign(kErrorCodeSlots, 0);
   out->hist_buckets = Histogram::kBuckets;
@@ -390,9 +334,10 @@ void AFServer::AggregateStats(ServerStatsWire* out, Shard* caller) {
   for (const auto& dev : devices_) {
     DeviceStatsWire d;
     d.index = dev->id();
-    for (const Counter* c : DeviceCounterList(dev->metrics())) {
-      d.counters.push_back(c->Value());
-    }
+    d.counters.resize(kNumDeviceCounters);
+    ForEachDeviceSlot(dev->metrics(), [&d](size_t slot, const char*, const Counter& c) {
+      d.counters[slot] = c.Value();
+    });
     CopyHistogram(dev->metrics().update_lag_micros, &d.update_lag);
     out->devices.push_back(std::move(d));
   }

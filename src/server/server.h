@@ -68,16 +68,6 @@ class AFServer {
     std::string accept_mode;
   };
 
-  // Legacy coarse counters; a view over the metrics spine kept for callers
-  // that predate it. Aggregated across shards.
-  struct Stats {
-    uint64_t requests_dispatched = 0;
-    uint64_t events_sent = 0;
-    uint64_t errors_sent = 0;
-    uint64_t clients_accepted = 0;
-    uint64_t loop_iterations = 0;
-  };
-
   AFServer() : AFServer(Options()) {}
   explicit AFServer(Options opts);
   ~AFServer();
@@ -195,7 +185,6 @@ class AFServer {
   size_t client_count() const;    // summed across shards
   ServerMetrics& metrics();       // shard 0's spine
   const ServerMetrics& metrics() const;
-  Stats stats() const;            // aggregated
   const Options& options() const { return opts_; }
 
   size_t num_shards() const { return shards_.size(); }

@@ -103,14 +103,10 @@ class Shard {
 
   ServerMetrics& metrics() { return metrics_; }
   const ServerMetrics& metrics() const { return metrics_; }
-  MetricsRegistry& registry() { return registry_; }
   TaskQueue& tasks() { return tasks_; }
   TraceRing& trace() { return *trace_; }
   size_t client_count() const {
     return client_count_.load(std::memory_order_relaxed);
-  }
-  uint64_t mailbox_depth_high_water() const {
-    return mailbox_ ? mailbox_->depth_high_water() : 0;
   }
   uint64_t mailbox_spills() const { return mailbox_ ? mailbox_->spills() : 0; }
 
@@ -208,7 +204,6 @@ class Shard {
 
   bool work_pending_ = false;
   ServerMetrics metrics_;
-  MetricsRegistry registry_;
   std::atomic<size_t> client_count_{0};
 
   // Shard 0 records into the process-wide ring (1-shard behavior is

@@ -68,16 +68,6 @@ bool WaitFor(Pred pred, int timeout_ms = 5000) {
   return true;
 }
 
-size_t CounterSlot(const char* name) {
-  for (size_t i = 0; i < kNumServerCounters; ++i) {
-    if (std::strcmp(kServerCounterNames[i], name) == 0) {
-      return i;
-    }
-  }
-  ADD_FAILURE() << "no counter slot named " << name;
-  return 0;
-}
-
 // Reconnect factory that lands the healed connection on `runner` via an
 // adopted socketpair (the in-process stand-in for re-resolving the name).
 AFAudioConn::ReconnectFactory AdoptInto(ServerRunner* runner) {
@@ -366,8 +356,8 @@ TEST(ResyncTimeTest, ReportsServerTimeAndPromotionState) {
 
   auto stats = conn->GetServerStats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().counters[CounterSlot("resyncs")], 1u);
-  EXPECT_EQ(stats.value().counters[CounterSlot("failovers_promoted")], 0u);
+  EXPECT_EQ(stats.value().counters[ServerSlot("resyncs")], 1u);
+  EXPECT_EQ(stats.value().counters[ServerSlot("failovers_promoted")], 0u);
 }
 
 TEST(ResyncTimeTest, EmitsResyncTraceInstantWithMeasuredGap) {
@@ -499,8 +489,8 @@ TEST(FailoverEndToEndTest, ClientRidesOverPrimaryDeathWithBoundedGap) {
 
   auto stats = conn->GetServerStats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats.value().counters[CounterSlot("resyncs")], 1u);
-  EXPECT_EQ(stats.value().counters[CounterSlot("failovers_promoted")], 1u);
+  EXPECT_GE(stats.value().counters[ServerSlot("resyncs")], 1u);
+  EXPECT_EQ(stats.value().counters[ServerSlot("failovers_promoted")], 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1029,7 +1019,7 @@ TEST(AstatRestartTest, WatchDetectsRestartInsteadOfZeroDiff) {
   ASSERT_TRUE(cur.ok());
   EXPECT_EQ(conn->reconnects(), 1u);
 
-  const size_t req_slot = CounterSlot("requests_dispatched");
+  const size_t req_slot = ServerSlot("requests_dispatched");
   ASSERT_GT(prev.value().counters[req_slot], cur.value().counters[req_slot]);
 
   // The regression: the saturating diff silently reports an all-zero
@@ -1063,17 +1053,17 @@ TEST(AstatRestartTest, GaugeSlotsNeverFlagRestart) {
   prev.counters.assign(kNumServerCounters, 10);
   ServerStatsWire cur = prev;
   // Gauges legitimately move both ways: dropping one is not a restart.
-  cur.counters[CounterSlot("watched_fds")] = 0;
-  cur.counters[CounterSlot("mailbox_depth_hw")] = 0;
-  cur.counters[CounterSlot("oplog_acked")] = 0;
-  cur.counters[CounterSlot("failovers_promoted")] = 0;
+  cur.counters[ServerSlot("watched_fds")] = 0;
+  cur.counters[ServerSlot("mailbox_depth_hw")] = 0;
+  cur.counters[ServerSlot("oplog_acked")] = 0;
+  cur.counters[ServerSlot("failovers_promoted")] = 0;
   EXPECT_FALSE(ServerStatsRegressed(prev, cur));
   // A monotonic counter going backwards is.
-  cur.counters[CounterSlot("requests_dispatched")] = 9;
+  cur.counters[ServerSlot("requests_dispatched")] = 9;
   EXPECT_TRUE(ServerStatsRegressed(prev, cur));
   // Mismatched lengths (old vs new server) compare only the overlap.
   cur.counters.resize(5);
-  cur.counters[CounterSlot("requests_dispatched")] = 10;
+  cur.counters[ServerSlot("requests_dispatched")] = 10;
   EXPECT_FALSE(ServerStatsRegressed(prev, cur));
 }
 

@@ -8,6 +8,7 @@
 
 #include "client/audio_context.h"
 #include "clients/server_runner.h"
+#include "proto/stats.h"
 
 namespace af {
 namespace {
@@ -366,7 +367,9 @@ TEST_F(ServerTest, StatsCount) {
   conn_->NoOp();
   conn_->Sync();
   runner_->RunOnLoop([this] {
-    EXPECT_GT(runner_->server().stats().requests_dispatched, 0u);
+    ServerStatsWire stats;
+    runner_->server().SnapshotStats(&stats);
+    EXPECT_GT(stats.counters[ServerSlot("requests_dispatched")], 0u);
     EXPECT_EQ(runner_->server().client_count(), 1u);
   });
 }

@@ -21,12 +21,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -46,16 +48,6 @@
 
 namespace af {
 namespace {
-
-size_t CounterIndex(const char* name) {
-  for (size_t i = 0; i < kNumServerCounters; ++i) {
-    if (std::strcmp(kServerCounterNames[i], name) == 0) {
-      return i;
-    }
-  }
-  ADD_FAILURE() << "unknown counter " << name;
-  return 0;
-}
 
 // --- mailbox unit tests -----------------------------------------------------
 
@@ -324,10 +316,10 @@ TEST_F(ShardServerTest, StatsAggregateAcrossShards) {
   const ServerStatsWire& stats = stats_result.value();
 
   ASSERT_EQ(stats.counters.size(), kNumServerCounters);
-  EXPECT_EQ(stats.counters[CounterIndex("clients_accepted")], 4u);
-  EXPECT_EQ(stats.counters[CounterIndex("shards")], 4u);
-  EXPECT_GT(stats.counters[CounterIndex("cross_shard_posted")], 0u);
-  EXPECT_GT(stats.counters[CounterIndex("cross_shard_drained")], 0u);
+  EXPECT_EQ(stats.counters[ServerSlot("clients_accepted")], 4u);
+  EXPECT_EQ(stats.counters[ServerSlot("shards")], 4u);
+  EXPECT_GT(stats.counters[ServerSlot("cross_shard_posted")], 0u);
+  EXPECT_GT(stats.counters[ServerSlot("cross_shard_drained")], 0u);
 
   // The per-shard slices sum back to the aggregate for pure counters.
   ASSERT_EQ(stats.shards.size(), 4u);
@@ -335,12 +327,12 @@ TEST_F(ShardServerTest, StatsAggregateAcrossShards) {
   for (const ShardStatsWire& sh : stats.shards) {
     EXPECT_EQ(sh.index, &sh - stats.shards.data());
     ASSERT_EQ(sh.counters.size(), kNumServerCounters);
-    accepted += sh.counters[CounterIndex("clients_accepted")];
-    dispatched += sh.counters[CounterIndex("requests_dispatched")];
-    EXPECT_EQ(sh.counters[CounterIndex("clients_accepted")], 1u);
+    accepted += sh.counters[ServerSlot("clients_accepted")];
+    dispatched += sh.counters[ServerSlot("requests_dispatched")];
+    EXPECT_EQ(sh.counters[ServerSlot("clients_accepted")], 1u);
   }
-  EXPECT_EQ(accepted, stats.counters[CounterIndex("clients_accepted")]);
-  EXPECT_EQ(dispatched, stats.counters[CounterIndex("requests_dispatched")]);
+  EXPECT_EQ(accepted, stats.counters[ServerSlot("clients_accepted")]);
+  EXPECT_EQ(dispatched, stats.counters[ServerSlot("requests_dispatched")]);
 }
 
 TEST_F(ShardServerTest, TraceAggregatesAcrossShards) {
@@ -618,6 +610,74 @@ TEST_F(ShardServerTest, ClientLeavingDuringForwardedSuspendedPlayIsReaped) {
   EXPECT_GT(runner_->server().shard(0)->metrics().resumes.Value(), 0u);
   EXPECT_EQ(runner_->server().shard(1)->client_count(), 0u);
 }
+
+// While a connection is lent to another shard its home does not watch the
+// fd: poll and epoll report hang-up even with no interests, so a home that
+// kept the fd registered spun on a lent connection whose peer had gone.
+class LentConnectionTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LentConnectionTest, HomeIdlesWhileALentConnectionsPeerIsGone) {
+  const char* saved = std::getenv("AF_POLLER");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("AF_POLLER", GetParam(), 1);
+  ServerRunner::Config config;
+  config.realtime = false;
+  config.server.num_shards = 2;
+  auto runner = ServerRunner::Start(std::move(config));
+  if (saved != nullptr) {
+    ::setenv("AF_POLLER", restore.c_str(), 1);
+  } else {
+    ::unsetenv("AF_POLLER");
+  }
+  ASSERT_NE(runner, nullptr);
+
+  // A shard-1 client's play suspends on shard 0, which keeps the borrowed
+  // connection until the play resumes; then the client goes away.
+  auto opened = runner->ConnectInProcessOnShard(1);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto conn = opened.take();
+  conn->SetIOErrorHandler([](AFAudioConn&) {});  // no exit
+  const DeviceId dev = runner->codec_id();
+  auto ac = conn->CreateAC(dev, 0, ACAttributes{});
+  ASSERT_TRUE(ac.ok());
+  auto now = conn->GetTime(dev);
+  ASSERT_TRUE(now.ok());
+  const ATime window = conn->devices()[dev].play_buffer_samples;
+  const std::vector<uint8_t> tone(800, 0x55);
+  constexpr ATime kPastBuffer = 400;
+  PlaySamplesReq req;
+  req.ac = ac.value()->id();
+  req.start_time = now.value() + window + kPastBuffer;
+  req.nbytes = static_cast<uint32_t>(tone.size());
+  req.data = tone;
+  conn->QueueRequest(Opcode::kPlaySamples, req);
+  conn->Flush();
+  const Counter& suspends = runner->server().shard(0)->metrics().suspends;
+  for (int i = 0; i < 20000 && suspends.Value() == 0; ++i) {
+    SleepMicros(100);
+  }
+  ASSERT_GT(suspends.Value(), 0u) << "the play never suspended on shard 0";
+  conn.reset();
+
+  // The play is still suspended: shard 1's loop has nothing to do.
+  const Counter& iterations = runner->server().shard(1)->metrics().loop_iterations;
+  const uint64_t before = iterations.Value();
+  SleepMicros(100000);
+  const uint64_t spun = iterations.Value() - before;
+  EXPECT_EQ(runner->server().shard(0)->metrics().resumes.Value(), 0u);
+  EXPECT_LT(spun, 200u) << "shard 1 ran " << spun << " loop passes in 100 ms";
+
+  // Once the play resumes the connection returns home and is reaped.
+  runner->manual_clock()->Advance(kPastBuffer + static_cast<ATime>(tone.size()));
+  runner->RunOnLoop([&] { runner->codec()->Update(); });
+  EXPECT_EQ(torture::DrainToClientCount(*runner, 0), 0u);
+  EXPECT_EQ(runner->server().shard(1)->client_count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Pollers, LentConnectionTest, ::testing::Values("epoll", "poll"),
+                         [](const ::testing::TestParamInfo<const char*>& p) {
+                           return std::string(p.param);
+                         });
 
 TEST_F(ShardServerTest, ForwardedReplyIsFlushedByTheExecutor) {
   auto conn = ConnectOnShard(1);

@@ -420,15 +420,7 @@ TEST_F(TraceEndToEndTest, DroppedEventsSurfaceInServerStats) {
 
   auto stats = conn->GetServerStats();
   ASSERT_TRUE(stats.ok());
-  // trace_dropped_events is the last appended global counter; find it by
-  // name so reordering the table would fail loudly here.
-  size_t index = kNumServerCounters;
-  for (size_t i = 0; i < kNumServerCounters; ++i) {
-    if (std::strcmp(kServerCounterNames[i], "trace_dropped_events") == 0) {
-      index = i;
-    }
-  }
-  ASSERT_LT(index, kNumServerCounters);
+  constexpr size_t index = ServerSlot("trace_dropped_events");
   ASSERT_GT(stats.value().counters.size(), index);
   EXPECT_GE(stats.value().counters[index], 10u);
 }
