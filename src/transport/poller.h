@@ -74,6 +74,7 @@ class Poller {
   const std::vector<PollEvent>& Wait(int64_t timeout_ms);
 
   size_t watched() const { return interests_.size(); }
+  bool watching(int fd) const { return interests_.count(fd) != 0; }
   Backend backend() const { return backend_; }
   const char* backend_name() const;
 
